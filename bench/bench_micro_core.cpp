@@ -15,7 +15,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "metrics/bench_record.hpp"
@@ -294,56 +293,6 @@ util::Json run_recorded_lru_workload() {
   return j;
 }
 
-/// The parallel-solver threads × wall-time matrix on the ~100k-actor
-/// mega_tenant scenario (ISSUE 7 acceptance): tenants are independent
-/// resource components, so every batched scheduling point fans out to the
-/// worker pool.  Checksums must stay bit-identical for every thread count;
-/// hardware_concurrency is recorded because speedup on a 1-core container
-/// is meaningless (CI regenerates this on a multi-core runner).
-util::Json run_recorded_component_parallel() {
-  const std::vector<unsigned> thread_counts{1, 2, 4, 8};
-  exp::CoreScenarioConfig config = exp::mega_tenant_config(100);  // 100k actors
-
-  util::Json runs(util::JsonObject{});
-  bool identical = true;
-  exp::CoreScenarioResult base;
-  double base_wall = 0.0;
-  for (unsigned threads : thread_counts) {
-    config.solver_threads = static_cast<int>(threads);
-    exp::CoreScenarioResult r = exp::run_core_scenario(config);
-    if (threads == thread_counts.front()) {
-      base = r;
-      base_wall = r.wall_seconds;
-    } else if (r.checksum_ns != base.checksum_ns || r.final_vtime != base.final_vtime ||
-               r.completion_checksum != base.completion_checksum) {
-      identical = false;
-    }
-    const double speedup = r.wall_seconds > 0.0 ? base_wall / r.wall_seconds : 0.0;
-    std::cout << "[component_parallel] solver_threads=" << threads << ": " << r.wall_seconds
-              << " s (speedup " << speedup << "x, " << r.parallel_solves
-              << " parallel solves)\n";
-    util::Json j(util::JsonObject{});
-    j.set("wall_seconds", r.wall_seconds);
-    j.set("speedup", speedup);
-    j.set("parallel_solves", static_cast<unsigned long>(r.parallel_solves));
-    j.set("components_solved", static_cast<unsigned long>(r.components_solved));
-    j.set("checksum_ns", static_cast<unsigned long>(r.checksum_ns));
-    runs.set("threads_" + std::to_string(threads), std::move(j));
-  }
-  std::cout << "[component_parallel] bit-identical results: " << (identical ? "yes" : "NO — BUG")
-            << " (hardware_concurrency=" << std::thread::hardware_concurrency() << ")\n";
-
-  util::Json j(util::JsonObject{});
-  j.set("tenants", config.tenants);
-  j.set("actors", config.actors * config.tenants);
-  j.set("rounds", config.rounds);
-  j.set("hardware_concurrency", static_cast<unsigned long>(std::thread::hardware_concurrency()));
-  j.set("scheduling_points", static_cast<unsigned long>(base.scheduling_points));
-  j.set("runs", std::move(runs));
-  j.set("bit_identical", identical);
-  return j;
-}
-
 /// The arena/SoA memory-architecture record (ISSUE 10): wall time and peak
 /// RSS of one ~100k-actor mega_tenant run on the arena engine, against the
 /// figures measured on the pre-arena shared_ptr-per-activity layout (same
@@ -426,13 +375,13 @@ int main(int argc, char** argv) {
   section.set("solve_batching", run_recorded_batching_ab());
   const bool batching_identical = section.at("solve_batching").at("bit_identical").as_bool();
   section.set("lru_mixed", run_recorded_lru_workload());
-  section.set("component_parallel", run_recorded_component_parallel());
-  const bool parallel_identical =
-      section.at("component_parallel").at("bit_identical").as_bool();
   pcs::metrics::write_bench_section("micro_core", std::move(section));
+  // Clear the high-water mark the runs above left behind, so the profile's
+  // peak_rss_kb measures the profiled run alone.
+  util::reset_peak_rss();
   pcs::metrics::write_bench_section("self_profile", run_recorded_self_profile());
-  // A batched-vs-per-event, parallel-vs-serial or arena-vs-recorded
-  // divergence is an engine bug, not a perf datum: fail the run so CI goes
-  // red instead of burying it in the artifact.
-  return batching_identical && parallel_identical && arena_identical ? 0 : 1;
+  // A batched-vs-per-event or arena-vs-recorded divergence is an engine
+  // bug, not a perf datum: fail the run so CI goes red instead of burying
+  // it in the artifact.
+  return batching_identical && arena_identical ? 0 : 1;
 }

@@ -5,7 +5,6 @@
 // Usage:
 //   pcs_cli run <scenario.json> [--trace FILE] [--json] [--dump-effective]
 //       [--metrics-interval S] [--timeline FILE] [--trace-viz FILE] [--profile]
-//       [--solver-threads N]
 //       Run one declarative scenario and print per-task timings (--json for
 //       machine-readable output; --dump-effective prints the fully-
 //       defaulted spec instead of running).  Observability flags:
@@ -138,7 +137,6 @@ void usage(std::ostream& out) {
   out << "usage: pcs_cli [--log-level error|warn|info|debug|trace] <command> [options]\n"
          "  run <scenario.json> [--seed N] [--trace FILE] [--json] [--dump-effective]\n"
          "      [--metrics-interval S] [--timeline FILE] [--trace-viz FILE] [--profile]\n"
-         "      [--solver-threads N]\n"
          "  record <scenario.json> --out run.jsonl [--seed N] [--json] [--anonymize]\n"
          "         [--trace-viz FILE]\n"
          "  replay <log.jsonl> [--platform FILE] [--scale S] [--load N] [--json] [--check]\n"
@@ -267,7 +265,6 @@ int cmd_run(const std::vector<std::string>& args) {
   double seed = 0.0;
   bool have_interval = false;
   double metrics_interval = 0.0;
-  int solver_threads = 0;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--trace") {
@@ -286,14 +283,6 @@ int cmd_run(const std::vector<std::string>& args) {
                            "' is not a non-negative number of simulated seconds");
       }
       have_interval = true;
-    } else if (arg == "--solver-threads") {
-      if (++i >= args.size()) return usage_error("--solver-threads needs an argument");
-      double threads = 0.0;
-      if (!parse_number(args[i], &threads) || threads < 1.0 ||
-          threads != static_cast<double>(static_cast<int>(threads))) {
-        return usage_error("--solver-threads: '" + args[i] + "' is not a positive integer");
-      }
-      solver_threads = static_cast<int>(threads);
     } else if (arg == "--profile") {
       profile = true;
     } else if (arg == "--seed") {
@@ -321,9 +310,6 @@ int cmd_run(const std::vector<std::string>& args) {
   // scenarios (and their effective docs / recorded logs) keep their bytes
   // while any run can still be sampled ad hoc.
   if (have_interval) spec.metrics_interval = metrics_interval;
-  // --solver-threads is a CI/acceptance knob: reports and timelines must be
-  // byte-identical for any value, so overriding it is always safe.
-  if (solver_threads > 0) spec.solver_threads = solver_threads;
   if (!timeline_path.empty() && spec.metrics_interval <= 0.0) {
     return usage_error(
         "--timeline needs metric sampling: pass --metrics-interval S or give the scenario "
@@ -610,8 +596,7 @@ int cmd_replay(const std::vector<std::string>& args) {
     if (!log_simulator.empty()) doc.set("simulator", log_simulator);
     doc.set("platform", util::Json::parse_file(platform_path));
     if (!source_scenario.is_null()) {
-      for (const char* key :
-           {"chunk_size", "cache_params", "solve_batching", "solver_threads", "warm_inputs"}) {
+      for (const char* key : {"chunk_size", "cache_params", "solve_batching", "warm_inputs"}) {
         if (source_scenario.contains(key)) {
           doc.set(key, source_scenario.at(key));
         }

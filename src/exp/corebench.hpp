@@ -35,12 +35,9 @@ struct CoreScenarioConfig {
   /// Independent tenants: the whole actor/resource population is cloned
   /// this many times with identical per-actor seeds, so tenant event
   /// timestamps align and every batched scheduling point carries many
-  /// dirty components — the shape the parallel solver exploits.  1 keeps
-  /// the classic single-tenant scenario byte-identical to before.
+  /// dirty components.  1 keeps the classic single-tenant scenario
+  /// byte-identical to before.
   int tenants = 1;
-  /// Engine::set_solver_threads (0 = auto); results are bit-identical for
-  /// any value — that is what the parallel determinism tests assert.
-  int solver_threads = 1;
   /// When >= 0: a crash driver cancels every actor of `crash_tenant` at
   /// this virtual time (Engine::cancel_group), mimicking a host_crash
   /// disruption mid-run.  Requires tenants > 1.
@@ -68,7 +65,6 @@ struct CoreScenarioResult {
   /// nanosecond-scale divergence while staying immune to sub-ns ulp noise.
   std::uint64_t checksum_ns = 0;
   std::uint64_t components_solved = 0;  ///< dirty components enumerated
-  std::uint64_t parallel_solves = 0;    ///< scheduling points fanned to the pool
   std::uint64_t cancelled_activities = 0;  ///< from the crash driver, if any
 };
 

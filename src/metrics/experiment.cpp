@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
+#include <utility>
 
 #include "metrics/result_json.hpp"
 #include "scenario/runner.hpp"
@@ -350,13 +351,16 @@ util::Json evaluate_check(const util::Json& check, const std::vector<CaseData>& 
         const std::string& group = check.at("group").as_string();
         what += " group '" + group + "'";
         if (!got.contains(group)) throw MetricsError(what + " not present");
-        got = got.at(group);
+        // Copy out before assigning: got owns the element being read.
+        util::Json member = got.at(group);
+        got = std::move(member);
       }
       if (check.contains("field")) {
         const std::string& field = check.at("field").as_string();
         what += " ." + field;
         if (!got.is_object() || !got.contains(field)) throw MetricsError(what + " not present");
-        got = got.at(field);
+        util::Json member = got.at(field);
+        got = std::move(member);
       }
     } else {
       throw MetricsError("check needs \"case\", \"aggregate\" or \"equal_cases\"");

@@ -14,11 +14,11 @@
 //
 // Byte-stability contract: gauges read only simulated state, names are
 // emitted in sorted order, and sampling happens at deterministic virtual
-// times — so the timeline is byte-identical across `--jobs`,
-// `solver_threads` and repeated runs, exactly like every other report in
-// the repo.  Attaching a registry is a pure observation: it must never
-// change simulated results (tests/obs_test.cpp proves this the same way
-// trace_replay_test proved it for recording).
+// times — so the timeline is byte-identical across `--jobs` and repeated
+// runs, exactly like every other report in the repo.  Attaching a registry
+// is a pure observation: it must never change simulated results
+// (tests/obs_test.cpp proves this the same way trace_replay_test proved it
+// for recording).
 //
 // Metric names use '/' (never '.') so experiment series can address
 // timeline columns with dotted value paths: "metrics.store/cached_bytes".

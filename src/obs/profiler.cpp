@@ -32,9 +32,6 @@ util::Json EngineProfile::to_json() const {
   doc.set("solve", section_json(solve));
   doc.set("merge", section_json(merge));
   doc.set("dispatch", section_json(dispatch));
-  util::Json slots{util::JsonArray{}};
-  for (const ProfileSection& s : slot_solve) slots.push_back(section_json(s));
-  doc.set("slot_solve", std::move(slots));
   // Sampled at serialization time: the process high-water mark, 0 where the
   // probe is unavailable.  Host-side, like every other number in here.
   doc.set("peak_rss_kb", static_cast<unsigned long>(util::peak_rss_kb()));
@@ -48,11 +45,6 @@ std::string EngineProfile::report() const {
   report_line(out, "solve", solve);
   report_line(out, "merge", merge);
   report_line(out, "dispatch", dispatch);
-  for (std::size_t i = 0; i < slot_solve.size(); ++i) {
-    if (slot_solve[i].count == 0) continue;
-    const std::string name = "slot[" + std::to_string(i) + "] solve";
-    report_line(out, name.c_str(), slot_solve[i]);
-  }
   if (const std::uint64_t rss = util::peak_rss_kb(); rss != 0) {
     char buf[80];
     std::snprintf(buf, sizeof(buf), "  %-16s %10llu kB\n", "peak rss",

@@ -1,8 +1,8 @@
 // Observability: wall-clock self-profiling of the engine's hot paths.
 //
 // An EngineProfile accumulates real (steady_clock) time per engine section
-// — recompute_rates as a whole, the dirty-set BFS, solve dispatch (serial
-// and per SolverPool slot), the component merge, and timed-event dispatch.
+// — recompute_rates as a whole, the dirty-set BFS, the component solves,
+// the component merge, and timed-event dispatch.
 // The engine only reads the clock when a profile is attached
 // (Engine::set_profiler), so the unprofiled hot path stays untouched.
 //
@@ -14,7 +14,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <vector>
+#include <string>
 
 #include "util/json.hpp"
 
@@ -33,17 +33,9 @@ struct ProfileSection {
 struct EngineProfile {
   ProfileSection recompute_rates;  ///< whole recompute (BFS + solve + merge)
   ProfileSection bfs;              ///< dirty-set connected-component enumeration
-  ProfileSection solve;            ///< serial component solves (driving thread)
+  ProfileSection solve;            ///< component solves
   ProfileSection merge;            ///< rate merge + completion rescheduling
   ProfileSection dispatch;         ///< coroutine dispatch (Engine::drain_ready)
-  /// Per-SolverPool-slot solve time (slot 0 = the driving thread).  Sized
-  /// by the engine before any parallel dispatch; each worker thread only
-  /// touches its own slot, so no synchronization is needed.
-  std::vector<ProfileSection> slot_solve;
-
-  void ensure_slots(std::size_t n) {
-    if (slot_solve.size() < n) slot_solve.resize(n);
-  }
 
   [[nodiscard]] util::Json to_json() const;
 

@@ -91,7 +91,7 @@ class MemoryManager {
   // Simulated byte totals since construction; always on (a few adds on
   // paths that already walk LRU lists).  obs::MetricsRegistry gauges read
   // these — purely simulated quantities, so sampled timelines stay
-  // byte-identical across --jobs/solver_threads.
+  // byte-identical across --jobs.
   [[nodiscard]] double hit_bytes() const { return hit_bytes_; }       ///< served from cache
   [[nodiscard]] double miss_bytes() const { return miss_bytes_; }     ///< clean fills from disk
   [[nodiscard]] double evicted_bytes() const { return evicted_bytes_; }

@@ -31,13 +31,12 @@ struct RunResult {
   std::uint64_t scheduling_points = 0;
   std::uint64_t fair_share_solves = 0;  ///< batching metric: solves <= points
   std::uint64_t same_time_points = 0;   ///< points sharing the previous timestamp
-  /// Parallel-solver metrics (not part of result_json: committed expected
-  /// reports must stay byte-stable; read them from RunResult directly).
-  std::uint64_t components_solved = 0;  ///< dirty components enumerated
-  std::uint64_t parallel_solves = 0;    ///< points fanned out to the pool
+  /// Dirty components enumerated (not part of result_json: committed
+  /// expected reports must stay byte-stable; read it from RunResult).
+  std::uint64_t components_solved = 0;
   /// Sampled metric timeline (obs/metrics.hpp; null unless the scenario
   /// enabled `"metrics": {"interval": ...}`).  Purely simulated quantities,
-  /// byte-identical across --jobs/solver_threads — but deliberately NOT
+  /// byte-identical across --jobs — but deliberately NOT
   /// part of result_json: committed expected reports must stay byte-stable.
   /// Experiments address it via `"source": "timeline"` series instead.
   util::Json timeline;

@@ -335,7 +335,6 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
   const auto wall_start = WallClock::now();
   wf::Simulation sim;
   sim.engine().set_solve_batching(spec.solve_batching);
-  sim.engine().set_solver_threads(static_cast<unsigned>(spec.solver_threads));
   if (options.tracer != nullptr) sim.engine().set_tracer(options.tracer);
   if (options.profile != nullptr) sim.engine().set_profiler(options.profile);
   sim.platform().load_json(spec.platform);
@@ -419,9 +418,6 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
     });
     metrics.register_gauge("engine/components_solved", [&engine] {
       return static_cast<double>(engine.components_solved());
-    });
-    metrics.register_gauge("engine/parallel_solves", [&engine] {
-      return static_cast<double>(engine.parallel_solves());
     });
     // Allocation gauges (alloc/*): bytes *reserved* by the arena slabs —
     // capacity, not live count, since slabs recycle slots and never shrink.
@@ -631,7 +627,6 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
   result.fair_share_solves = sim.engine().fair_share_solves();
   result.same_time_points = sim.engine().same_time_points();
   result.components_solved = sim.engine().components_solved();
-  result.parallel_solves = sim.engine().parallel_solves();
   return result;
 }
 

@@ -131,10 +131,6 @@ ScenarioSpec ScenarioSpec::parse(const util::Json& doc, const std::string& base_
   }
   spec.warm_inputs = doc.bool_or("warm_inputs", default_is_nfs);
   spec.solve_batching = doc.bool_or("solve_batching", true);
-  spec.solver_threads = static_cast<int>(doc.number_or("solver_threads", 1.0));
-  if (spec.solver_threads < 0) {
-    throw ScenarioError("solver_threads must be >= 0 (0 = auto)");
-  }
   if (doc.contains("metrics")) {
     const util::Json& m = doc.at("metrics");
     if (!m.is_object()) throw ScenarioError("\"metrics\" must be an object");
@@ -306,9 +302,6 @@ util::Json ScenarioSpec::to_json() const {
   doc.set("probe_period", probe_period);
   doc.set("warm_inputs", warm_inputs);
   doc.set("solve_batching", solve_batching);
-  // Emitted only when non-default: committed recorded logs embed this
-  // document and must stay byte-stable (same rule as the fault keys below).
-  if (solver_threads != 1) doc.set("solver_threads", solver_threads);
   if (metrics_interval > 0.0) {
     util::Json m{util::JsonObject{}};
     m.set("interval", metrics_interval);

@@ -89,12 +89,6 @@ struct ScenarioSpec {
   /// Engine knob (Engine::set_solve_batching): false selects the per-event
   /// reference solver mode, for batching ablations driven from JSON sweeps.
   bool solve_batching = true;
-  /// Engine knob (Engine::set_solver_threads): worker-pool width for the
-  /// per-component fair-share solve.  0 = auto (hardware_concurrency);
-  /// results are bit-identical for any value.  Sweepable like
-  /// solve_batching; to_json emits the key only when != 1 so pre-parallel
-  /// scenario documents round-trip byte-identically.
-  int solver_threads = 1;
   /// Metrics sampler (obs/metrics.hpp): `"metrics": {"interval": N}` makes
   /// the runner sample every registered gauge each N virtual seconds into a
   /// byte-stable timeline on RunResult.  0 = no sampler.  to_json emits the

@@ -15,4 +15,11 @@ namespace pcs::util {
 /// callers can gate on `!= 0` instead of platform ifdefs.
 [[nodiscard]] std::uint64_t peak_rss_kb();
 
+/// Reset the peak to the current resident set size (Linux: trims the
+/// glibc heap, then writes "5" to /proc/self/clear_refs), so the next
+/// peak_rss_kb() covers only what runs after this call.  Returns false
+/// where the reset is unsupported; the peak then keeps its process-lifetime
+/// meaning.
+bool reset_peak_rss();
+
 }  // namespace pcs::util

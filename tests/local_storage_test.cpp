@@ -128,7 +128,7 @@ TEST_F(LocalStorageTest, ConcurrentReadersShareDisk) {
   LocalStorage st(engine_, *host_, *disk_, cache::CacheMode::None);
   st.stage_file("a", 100.0);
   st.stage_file("b", 100.0);
-  auto reader = [&](sim::Engine& e, const std::string& name) -> sim::Task<> {
+  auto reader = [&](sim::Engine& e, std::string name) -> sim::Task<> {
     co_await st.read_file(name, 100.0);
     (void)e;
   };

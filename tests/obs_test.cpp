@@ -1,10 +1,13 @@
 // The observability layer (obs/): the metric sampler is pure observation
-// and its timeline is byte-stable across runs and solver thread counts; the
-// engine self-profiler never leaks wall-clock into simulated results; the
+// and its timeline is byte-stable across runs; the engine self-profiler
+// never leaks wall-clock into simulated results, and its peak-RSS probe can
+// be reset to cover one run; the
 // Chrome-trace exporter lowers a recorded log into valid trace-event JSON;
 // and experiments can address timeline columns via "source": "timeline".
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,6 +20,7 @@
 #include "scenario/scenario.hpp"
 #include "tracelog/recorder.hpp"
 #include "util/json.hpp"
+#include "util/rss.hpp"
 
 #ifndef PCS_SOURCE_DIR
 #define PCS_SOURCE_DIR "."
@@ -124,18 +128,6 @@ TEST(ObsTimeline, RunToRunByteIdentical) {
   expect_same_simulation(second, first);
 }
 
-TEST(ObsTimeline, SolverThreadsInvariant) {
-  util::Json doc = sampled_doc();
-  ScenarioSpec serial = ScenarioSpec::parse(doc);
-  doc.set("solver_threads", 8);
-  ScenarioSpec threaded = ScenarioSpec::parse(doc);
-  RunResult a = run_scenario(serial);
-  RunResult b = run_scenario(threaded);
-  ASSERT_FALSE(a.timeline.is_null());
-  EXPECT_EQ(a.timeline.dump(2), b.timeline.dump(2));
-  expect_same_simulation(b, a);
-}
-
 TEST(ObsTimeline, SamplerIsPureObservation) {
   RunResult sampled = run_scenario(ScenarioSpec::parse(sampled_doc()));
   RunResult plain = run_scenario(ScenarioSpec::parse(sampled_doc(0.0)));
@@ -169,9 +161,9 @@ TEST(ObsTimeline, CarriesTheExpectedColumns) {
 
 TEST(ObsTimeline, GoldenQuickstartTimeline) {
   // The committed timeline is what `pcs_cli run scenarios/quickstart.json
-  // --metrics-interval 2 --timeline ...` writes; CI re-derives it at
-  // --jobs/solver_threads variants and diffs.  Regenerate with that command
-  // if the schema changes deliberately.
+  // --metrics-interval 2 --timeline ...` writes; CI re-derives it and
+  // diffs.  Regenerate with that command if the schema changes
+  // deliberately.
   ScenarioSpec spec =
       ScenarioSpec::from_file(PCS_SOURCE_DIR "/scenarios/quickstart.json");
   spec.metrics_interval = 2.0;
@@ -214,15 +206,31 @@ TEST(ObsProfiler, ReportAndJsonAgree) {
   obs::EngineProfile profile;
   profile.recompute_rates.add(0.5);
   profile.bfs.add(0.1);
-  profile.ensure_slots(2);
-  profile.slot_solve[0].add(0.2);
+  profile.solve.add(0.2);
   const util::Json j = profile.to_json();
   EXPECT_EQ(j.at("recompute_rates").at("count").as_number(), 1.0);
   EXPECT_EQ(j.at("recompute_rates").at("seconds").as_number(), 0.5);
-  EXPECT_EQ(j.at("slot_solve").size(), 2u);
+  EXPECT_EQ(j.at("solve").at("seconds").as_number(), 0.2);
   const std::string text = profile.report();
   EXPECT_NE(text.find("recompute_rates"), std::string::npos);
   EXPECT_NE(text.find("bfs"), std::string::npos);
+}
+
+TEST(ObsProfiler, ResetPeakRssForgetsEarlierPeaks) {
+  // Touch a 64 MB mapping, unmap it, reset: the peak must fall back below
+  // the mark the mapping left.  mmap rather than new[], because a freed
+  // heap block (or one held in a sanitizer's quarantine) may stay resident.
+  constexpr std::size_t kBytes = std::size_t{64} << 20;
+  void* buffer =
+      mmap(nullptr, kBytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(buffer, MAP_FAILED);
+  std::memset(buffer, 1, kBytes);
+  const std::uint64_t with_buffer_kb = util::peak_rss_kb();
+  munmap(buffer, kBytes);
+  if (with_buffer_kb == 0 || !util::reset_peak_rss()) {
+    GTEST_SKIP() << "peak RSS cannot be reset on this platform";
+  }
+  EXPECT_LT(util::peak_rss_kb() + 32 * 1024, with_buffer_kb);
 }
 
 // --- Chrome trace export ----------------------------------------------------

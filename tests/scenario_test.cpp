@@ -106,27 +106,6 @@ TEST(ScenarioSpec, EffectiveDumpParsesBack) {
   EXPECT_EQ(again.default_service, spec.default_service);
 }
 
-TEST(ScenarioSpec, SolverThreadsParsesValidatesAndRoundTrips) {
-  util::Json doc = scenario_doc(node_platform());
-  EXPECT_EQ(ScenarioSpec::parse(doc).solver_threads, 1);
-  // Default omitted from the effective dump: committed recorded logs embed
-  // this document and must stay byte-stable across the parallel-solver PR.
-  EXPECT_FALSE(ScenarioSpec::parse(doc).to_json().contains("solver_threads"));
-
-  doc.set("solver_threads", 4);
-  ScenarioSpec spec = ScenarioSpec::parse(doc);
-  EXPECT_EQ(spec.solver_threads, 4);
-  ScenarioSpec again = ScenarioSpec::parse(util::Json::parse(spec.to_json().dump(2)));
-  EXPECT_EQ(again.solver_threads, 4);
-
-  doc.set("solver_threads", 0);  // 0 = auto (hardware_concurrency)
-  EXPECT_EQ(ScenarioSpec::parse(doc).solver_threads, 0);
-  EXPECT_TRUE(ScenarioSpec::parse(doc).to_json().contains("solver_threads"));
-
-  doc.set("solver_threads", -2);
-  EXPECT_THROW(ScenarioSpec::parse(doc), ScenarioError);
-}
-
 TEST(ServiceRegistry, KnowsBuiltInBackends) {
   auto& registry = storage::ServiceRegistry::instance();
   for (const char* type : {"local", "nfs", "reference", "burst_buffer", "cgroup_local"}) {

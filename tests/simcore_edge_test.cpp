@@ -131,7 +131,7 @@ TEST(EngineEdge, TracerSeesConcurrentSpans) {
   Tracer tracer;
   engine.set_tracer(&tracer);
   Resource* r = engine.new_resource("r", 10.0);
-  auto worker = [r](Engine& e, const std::string& label) -> Task<> {
+  auto worker = [r](Engine& e, std::string label) -> Task<> {
     co_await e.submit(label, sim::one(r), 50.0);
   };
   engine.spawn("a", worker(engine, "io:a"));

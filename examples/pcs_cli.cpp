@@ -1,6 +1,6 @@
-// The generic scenario runner: every committed example is a
-// scenarios/*.json file this binary can execute, inspect and regression-
-// check.
+// The generic scenario runner: every run is a committed scenario, sweep or
+// experiment document that this binary can execute, inspect and
+// regression-check.
 //
 // Usage:
 //   pcs_cli run <scenario.json> [--trace FILE] [--json] [--dump-effective]
@@ -59,9 +59,6 @@
 //       makespan) from one streaming pre-scan — event records are counted,
 //       never held.  --json prints only simulated quantities, so the output
 //       is byte-stable across hosts (CI diffs it).
-//   pcs_cli dump-preset <reference|wrench|wrench_cache|prototype>
-//       [--nfs] [--nighres] [--instances N]
-//       Print the paper preset re-expressed as a generated scenario spec.
 //   pcs_cli list-backends
 //       List the registered storage backend types.
 //
@@ -69,11 +66,8 @@
 // position) maps onto util::Logger, overriding the PCS_LOG environment
 // variable.
 //
-// Legacy flags (no subcommand) keep working: pcs_cli [--platform FILE]
-// [--workflow FILE] [--mode writeback|writethrough|none] [--chunk-mb N]
-// [--trace FILE] runs a single DAG on one host — now routed through the
-// scenario subsystem as well.  Unknown flags and commands print usage and
-// exit 2.
+// A missing command, unknown flags and unknown commands print usage and
+// exit 2; --help prints it and exits 0.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -90,7 +84,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exp/runners.hpp"
 #include "metrics/experiment.hpp"
 #include "metrics/table.hpp"
 #include "obs/chrome_trace.hpp"
@@ -110,29 +103,6 @@ namespace {
 
 using namespace pcs;
 
-constexpr const char* kDemoPlatform = R"json({
-  "hosts": [
-    {"name": "node0", "speed_gflops": 1, "cores": 8, "ram": "32 GB",
-     "memory": {"read_bw_MBps": 6860, "write_bw_MBps": 2764},
-     "disks": [{"name": "ssd0", "read_bw_MBps": 510, "write_bw_MBps": 420,
-                "capacity": "450 GiB"}]}
-  ]
-})json";
-
-constexpr const char* kDemoWorkflow = R"json({
-  "tasks": [
-    {"name": "ingest", "cpu_seconds": 3,
-     "inputs":  [{"name": "raw", "size": "6 GB"}],
-     "outputs": [{"name": "clean", "size": "4 GB"}]},
-    {"name": "analyze", "cpu_seconds": 10,
-     "inputs":  [{"name": "clean", "size": "4 GB"}],
-     "outputs": [{"name": "stats", "size": "500 MB"}]},
-    {"name": "render", "cpu_seconds": 2,
-     "inputs":  [{"name": "stats", "size": "500 MB"}],
-     "outputs": [{"name": "report", "size": "50 MB"}]}
-  ]
-})json";
-
 void usage(std::ostream& out) {
   out << "usage: pcs_cli [--log-level error|warn|info|debug|trace] <command> [options]\n"
          "  run <scenario.json> [--seed N] [--trace FILE] [--json] [--dump-effective]\n"
@@ -149,13 +119,7 @@ void usage(std::ostream& out) {
          "             (N=0: auto = hardware_concurrency, the default)\n"
          "             [--list] [--check] [--update] [--progress]\n"
          "  smoke <scenarios-dir> <record.json> [--update] [--tolerance REL]\n"
-         "  dump-preset <reference|wrench|wrench_cache|prototype> [--nfs] [--nighres]\n"
-         "              [--instances N]\n"
-         "  list-backends\n"
-         "legacy single-DAG mode (no command):\n"
-         "  pcs_cli [--platform FILE] [--workflow FILE]\n"
-         "          [--mode writeback|writethrough|none] [--chunk-mb N] [--trace FILE]\n"
-         "Runs the built-in demo when no files are given.\n";
+         "  list-backends\n";
 }
 
 int usage_error(const std::string& message) {
@@ -164,13 +128,14 @@ int usage_error(const std::string& message) {
   return 2;
 }
 
-/// Strict numeric flag parsing: the whole token must convert, and failures
-/// route through usage_error rather than escaping as std::stod exceptions.
+/// Strict numeric flag parsing: the whole token must convert to a finite
+/// number (std::stod also accepts "nan" and "inf"), and failures route
+/// through usage_error rather than escaping as std::stod exceptions.
 bool parse_number(const std::string& text, double* out) {
   try {
     std::size_t pos = 0;
     const double value = std::stod(text, &pos);
-    if (pos != text.size()) return false;
+    if (pos != text.size() || !std::isfinite(value)) return false;
     *out = value;
     return true;
   } catch (const std::exception&) {
@@ -183,7 +148,7 @@ bool parse_int(const std::string& text, int* out) {
   if (!parse_number(text, &value)) return false;
   // Range-check before the cast: float→int conversion of an
   // unrepresentable value is UB.
-  if (std::isnan(value) || value < static_cast<double>(std::numeric_limits<int>::min()) ||
+  if (value < static_cast<double>(std::numeric_limits<int>::min()) ||
       value > static_cast<double>(std::numeric_limits<int>::max())) {
     return false;
   }
@@ -197,10 +162,7 @@ bool parse_int(const std::string& text, int* out) {
 bool parse_seed(const std::string& text, double* out) {
   double value = 0.0;
   if (!parse_number(text, &value)) return false;
-  if (std::isnan(value) || value < 0.0 || value != std::floor(value) ||
-      value >= 9007199254740992.0) {
-    return false;
-  }
+  if (value < 0.0 || value != std::floor(value) || value >= 9007199254740992.0) return false;
   *out = value;
   return true;
 }
@@ -1063,8 +1025,8 @@ int cmd_smoke(const std::vector<std::string>& args) {
       update = true;
     } else if (arg == "--tolerance") {
       if (++i >= args.size()) return usage_error("--tolerance needs an argument");
-      if (!parse_number(args[i], &tolerance)) {
-        return usage_error("--tolerance: '" + args[i] + "' is not a number");
+      if (!parse_number(args[i], &tolerance) || tolerance < 0.0) {
+        return usage_error("--tolerance: '" + args[i] + "' is not a non-negative number");
       }
     } else if (!arg.empty() && arg[0] == '-') {
       return usage_error("unknown flag '" + arg + "'");
@@ -1170,125 +1132,10 @@ int cmd_smoke(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_dump_preset(const std::vector<std::string>& args) {
-  exp::RunConfig config;
-  bool have_kind = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--nfs") {
-      config.nfs = true;
-    } else if (arg == "--nighres") {
-      config.app = exp::AppKind::Nighres;
-    } else if (arg == "--instances") {
-      if (++i >= args.size()) return usage_error("--instances needs an argument");
-      if (!parse_int(args[i], &config.instances) || config.instances < 1) {
-        return usage_error("--instances: '" + args[i] + "' is not a positive integer");
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage_error("unknown flag '" + arg + "'");
-    } else if (!have_kind) {
-      if (arg == "reference") {
-        config.kind = exp::SimulatorKind::Reference;
-      } else if (arg == "wrench") {
-        config.kind = exp::SimulatorKind::Wrench;
-      } else if (arg == "wrench_cache") {
-        config.kind = exp::SimulatorKind::WrenchCache;
-      } else if (arg == "prototype") {
-        config.kind = exp::SimulatorKind::Prototype;
-      } else {
-        return usage_error("unknown simulator '" + arg + "'");
-      }
-      have_kind = true;
-    } else {
-      return usage_error("unexpected argument '" + arg + "'");
-    }
-  }
-  if (!have_kind) return usage_error("dump-preset: missing simulator kind");
-  std::cout << exp::scenario_from_run_config(config).to_json().dump(2) << "\n";
-  return 0;
-}
-
 int cmd_list_backends() {
   std::cout << "registered storage backends:\n";
   for (const std::string& type : storage::ServiceRegistry::instance().types()) {
     std::cout << "  " << type << "\n";
-  }
-  return 0;
-}
-
-/// The original pcs_cli: one DAG on one host/disk — now expressed as a
-/// scenario built from the legacy flags.
-int legacy_mode(const std::vector<std::string>& args) {
-  std::string platform_path;
-  std::string workflow_path;
-  std::string trace_path;
-  std::string mode_name = "writeback";
-  double chunk_mb = 100.0;
-
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto next = [&](const char* flag) -> const std::string* {
-      if (++i >= args.size()) {
-        std::cerr << flag << " needs an argument\n";
-        return nullptr;
-      }
-      return &args[i];
-    };
-    const std::string* value = nullptr;
-    if (arg == "--platform") {
-      if ((value = next("--platform")) == nullptr) return 2;
-      platform_path = *value;
-    } else if (arg == "--workflow") {
-      if ((value = next("--workflow")) == nullptr) return 2;
-      workflow_path = *value;
-    } else if (arg == "--mode") {
-      if ((value = next("--mode")) == nullptr) return 2;
-      mode_name = *value;
-    } else if (arg == "--chunk-mb") {
-      if ((value = next("--chunk-mb")) == nullptr) return 2;
-      if (!parse_number(*value, &chunk_mb) || chunk_mb <= 0.0) {
-        return usage_error("--chunk-mb: '" + *value + "' is not a positive number");
-      }
-    } else if (arg == "--trace") {
-      if ((value = next("--trace")) == nullptr) return 2;
-      trace_path = *value;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      return 0;
-    } else {
-      return usage_error("unknown flag '" + arg + "'");
-    }
-  }
-  if (mode_name != "writeback" && mode_name != "writethrough" && mode_name != "none") {
-    std::cerr << "unknown mode '" << mode_name << "'\n";
-    return 2;
-  }
-
-  util::Json platform_doc = platform_path.empty() ? util::Json::parse(kDemoPlatform)
-                                                  : util::Json::parse_file(platform_path);
-  util::Json workflow_doc = workflow_path.empty() ? util::Json::parse(kDemoWorkflow)
-                                                  : util::Json::parse_file(workflow_path);
-
-  util::Json service{util::JsonObject{}};
-  service.set("name", "store").set("type", "local").set("cache", mode_name);
-  util::Json doc{util::JsonObject{}};
-  doc.set("name", "cli");
-  doc.set("platform", std::move(platform_doc));
-  doc.set("services", util::Json{util::JsonArray{}}.push_back(std::move(service)));
-  doc.set("workload",
-          util::Json{util::JsonObject{}}.set("type", "dag").set("workflow", workflow_doc));
-  doc.set("chunk_size", chunk_mb * util::MB);
-
-  scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse(doc);
-  sim::Tracer tracer;
-  scenario::RunOptions options;
-  if (!trace_path.empty()) options.tracer = &tracer;
-  scenario::RunResult result = scenario::run_scenario(spec, options);
-  print_result_table(spec, result);
-  if (!trace_path.empty()) {
-    tracer.write(trace_path);
-    std::cout << "wrote " << tracer.span_count() << " trace spans to " << trace_path
-              << " (open in chrome://tracing)\n";
   }
   return 0;
 }
@@ -1330,42 +1177,24 @@ int extract_log_level(std::vector<std::string>& args) {
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (const int code = extract_log_level(args); code >= 0) return code;
+  if (args.empty()) return usage_error("missing command");
+  const std::string& command = args[0];
+  const std::vector<std::string> rest(args.begin() + 1, args.end());
   try {
-    if (!args.empty() && args[0] == "run") {
-      return cmd_run({args.begin() + 1, args.end()});
-    }
-    if (!args.empty() && args[0] == "record") {
-      return cmd_record({args.begin() + 1, args.end()});
-    }
-    if (!args.empty() && args[0] == "replay") {
-      return cmd_replay({args.begin() + 1, args.end()});
-    }
-    if (!args.empty() && args[0] == "trace-info") {
-      return cmd_trace_info({args.begin() + 1, args.end()});
-    }
-    if (!args.empty() && args[0] == "sweep") {
-      return cmd_sweep({args.begin() + 1, args.end()});
-    }
-    if (!args.empty() && args[0] == "experiment") {
-      return cmd_experiment({args.begin() + 1, args.end()});
-    }
-    if (!args.empty() && args[0] == "smoke") {
-      return cmd_smoke({args.begin() + 1, args.end()});
-    }
-    if (!args.empty() && args[0] == "dump-preset") {
-      return cmd_dump_preset({args.begin() + 1, args.end()});
-    }
-    if (!args.empty() && args[0] == "list-backends") {
-      return cmd_list_backends();
-    }
-    if (!args.empty() && args[0] == "--help") {
+    if (command == "run") return cmd_run(rest);
+    if (command == "record") return cmd_record(rest);
+    if (command == "replay") return cmd_replay(rest);
+    if (command == "trace-info") return cmd_trace_info(rest);
+    if (command == "sweep") return cmd_sweep(rest);
+    if (command == "experiment") return cmd_experiment(rest);
+    if (command == "smoke") return cmd_smoke(rest);
+    if (command == "list-backends") return cmd_list_backends();
+    if (command == "--help" || command == "-h") {
       usage(std::cout);
       return 0;
     }
-    if (!args.empty() && args[0][0] != '-') {
-      return usage_error("unknown command '" + args[0] + "'");
-    }
-    return legacy_mode(args);
+    if (command[0] == '-') return usage_error("unknown flag '" + command + "'");
+    return usage_error("unknown command '" + command + "'");
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

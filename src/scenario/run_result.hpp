@@ -1,6 +1,6 @@
-// Result of one scenario (or legacy RunConfig) run: per-task timings,
-// sampled memory profile, final cache state — the raw material of every
-// figure in the paper and of the scenario smoke records.
+// Result of one scenario run: per-task timings, sampled memory profile,
+// final cache state — the raw material of every figure in the paper and of
+// the scenario smoke records.
 #pragma once
 
 #include <cstdint>

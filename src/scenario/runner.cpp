@@ -33,6 +33,11 @@ double wall_since(WallClock::time_point start) {
 /// The analytic pysim port: no discrete-event engine, one synthetic
 /// pipeline on a local disk (the paper's only prototype configuration).
 RunResult run_prototype(const ScenarioSpec& spec) {
+  if (!spec.services.empty()) {
+    throw ScenarioError("the analytic prototype models the compute host's local disk itself "
+                        "and runs no storage services (remove \"services\"; it declares '" +
+                        spec.services.front().name + "')");
+  }
   const util::Json& w = spec.workload;
   if (w.string_or("type", "synthetic") != "synthetic" ||
       static_cast<int>(w.number_or("instances", 1)) != 1) {
@@ -347,8 +352,8 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
   const bool sampling = spec.metrics_interval > 0.0;
   obs::MetricsRegistry metrics;
 
-  // Storage services, in declaration order (daemon spawn order matters for
-  // bit-identical replay of the legacy harness).
+  // Storage services, in declaration order (daemon spawn order is part of
+  // the simulated result; the golden equivalence record pins it).
   storage::ServiceContext ctx{sim, spec.cache_params};
   std::map<std::string, storage::StorageService*> services;
   for (const ServiceDecl& decl : spec.services) {
@@ -368,9 +373,10 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
   }
   storage::StorageService* default_service = services.at(spec.default_service);
 
-  // Memory probe, attached before the compute service as in the legacy
-  // harness: block-model backends expose a MemoryManager, the reference
-  // model its own snapshots, cacheless backends nothing (no probe).
+  // Memory probe, attached before the compute service (the order the
+  // golden equivalence record pins): block-model backends expose a
+  // MemoryManager, the reference model its own snapshots, cacheless
+  // backends nothing (no probe).
   wf::MemoryProbe* probe = nullptr;
   if (spec.probe_period > 0.0) {
     storage::StorageService* watched = services.at(spec.probe_service);

@@ -1,10 +1,11 @@
 // Executes a ScenarioSpec: builds a wf::Simulation — platform from the
 // spec's JSON, storage services through the backend registry, workflows
 // through the workload generators — runs it and returns a RunResult.
-// Construction order mirrors the legacy RunConfig harness exactly
-// (services, probe, compute service, per-instance submission, server-side
-// warm-up), which is what makes scenario-built runs bit-identical to the
-// pre-refactor paths (see tests/scenario_equivalence_test.cpp).
+// Construction order is fixed (services, probe, compute service,
+// per-instance submission, server-side warm-up): it is the order of the
+// original hand-built harness, and the golden equivalence record pins
+// scenario-built runs bit-identical to it (see
+// tests/scenario_equivalence_test.cpp).
 #pragma once
 
 #include "scenario/run_result.hpp"

@@ -1,5 +1,5 @@
-// Burst-buffer storage service (the paper conclusion's proposed study,
-// promoted from examples/burst_buffer_study.cpp into a registered backend).
+// Burst-buffer storage service (the paper conclusion's proposed study, as a
+// registered backend; scenarios/burst_buffer.json runs it).
 //
 // Tasks read and write against a node-local page-cached buffer (so writes
 // land at local/cached speed), while a background drainer actor stages

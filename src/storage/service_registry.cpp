@@ -102,7 +102,7 @@ StorageService* build_local_backend(ServiceContext& ctx, const util::Json& spec)
   return build_local(ctx, spec, util::bytes_field_or(spec, "memory_limit", -1.0));
 }
 
-/// cgroup-limited local storage (examples/cgroup_memory_study.cpp promoted):
+/// cgroup-limited local storage (scenarios/sweeps/cgroup_memory.json):
 /// same as "local" but the memory limit — the cgroup's cap on page cache +
 /// application memory together — is mandatory.
 StorageService* build_cgroup_local_backend(ServiceContext& ctx, const util::Json& spec) {

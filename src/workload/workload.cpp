@@ -107,8 +107,8 @@ std::vector<WorkloadInstance> build_workload(wf::Simulation& sim, const util::Js
       throw WorkloadError("dag workload needs \"workflow\" (inline) or \"file\"");
     }
     for (int i = 0; i < instances; ++i) {
-      // A lone unprefixed DAG keeps its own task names (pcs_cli legacy
-      // behaviour); concurrent instances get the "a<i>:" namespace.
+      // A lone unprefixed DAG keeps its own task names; concurrent
+      // instances get the "a<i>:" namespace.
       const std::string p =
           prefix + (instances > 1 ? instance_prefix(i) : std::string());
       wf::Workflow& workflow = sim.create_workflow();

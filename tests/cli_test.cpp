@@ -32,8 +32,10 @@ int run_cli_raw(const std::string& args) {
 std::string experiments_dir() { return std::string(PCS_SOURCE_DIR) + "/experiments"; }
 
 TEST(Cli, UnknownCommandAndFlagsExitTwo) {
+  EXPECT_EQ(run_cli(""), 2);  // a command is required
   EXPECT_EQ(run_cli("frobnicate"), 2);
   EXPECT_EQ(run_cli("--bogus-flag"), 2);
+  EXPECT_EQ(run_cli("--help"), 0);
   EXPECT_EQ(run_cli("run --bogus scenario.json"), 2);
   EXPECT_EQ(run_cli("sweep --bogus sweep.json"), 2);
 }
@@ -134,6 +136,26 @@ TEST(Cli, ObservabilityFlagsFollowTheUsageConvention) {
   EXPECT_EQ(run_cli("run " + std::string(PCS_SOURCE_DIR) +
                     "/scenarios/quickstart.json --timeline t.json"),
             2);
+}
+
+TEST(Cli, NonFiniteNumbersAreUsageErrors) {
+  // std::stod accepts "nan" and "inf"; every numeric flag refuses them (exit
+  // 2) instead of running with them.  A nan tolerance would turn the smoke
+  // drift gate off, a nan/inf interval would write a null timeline, and a
+  // nan/inf time scale would deadlock the replay.  Real inputs make the
+  // refusal the only way to exit 2.
+  const std::string src = PCS_SOURCE_DIR;
+  const std::string smoke = "smoke " + src + "/scenarios " + src + "/BENCH_scenarios.json";
+  EXPECT_EQ(run_cli(smoke + " --tolerance nan"), 2);
+  EXPECT_EQ(run_cli(smoke + " --tolerance inf"), 2);
+  EXPECT_EQ(run_cli(smoke + " --tolerance -1"), 2);
+  const std::string run = "run " + src + "/scenarios/quickstart.json --metrics-interval ";
+  const std::string timeline = " --timeline " + ::testing::TempDir() + "nonfinite.json";
+  EXPECT_EQ(run_cli(run + "nan" + timeline), 2);
+  EXPECT_EQ(run_cli(run + "inf" + timeline), 2);
+  const std::string replay = "replay " + src + "/scenarios/traces/nighres_run.jsonl --scale ";
+  EXPECT_EQ(run_cli(replay + "nan"), 2);
+  EXPECT_EQ(run_cli(replay + "inf"), 2);
 }
 
 TEST(Cli, LogLevelIsAGlobalFlag) {

@@ -1,55 +1,21 @@
-// The experiment harness itself: presets (Table III arithmetic), app
-// builders (Tables I & II), runner result accessors, and report printing.
+// The experiment harness itself: app builders (Tables I & II), run result
+// accessors, and report printing.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "workload/apps.hpp"
-#include "exp/presets.hpp"
-#include "exp/runners.hpp"
 #include "metrics/table.hpp"
+#include "paper_scenario.hpp"
+#include "workload/apps.hpp"
 
-namespace pcs::exp {
+namespace pcs {
 namespace {
 
 using namespace pcs::workload;
 
+using scenario::RunResult;
+using test::run_paper_scenario;
 using util::GB;
-using util::MB;
-
-TEST(Presets, TableThreeValues) {
-  ClusterBandwidths real = real_cluster_bandwidths();
-  EXPECT_DOUBLE_EQ(real.mem_read, 6860.0);
-  EXPECT_DOUBLE_EQ(real.mem_write, 2764.0);
-  EXPECT_DOUBLE_EQ(real.disk_read, 510.0);
-  EXPECT_DOUBLE_EQ(real.disk_write, 420.0);
-  EXPECT_DOUBLE_EQ(real.remote_read, 515.0);
-  EXPECT_DOUBLE_EQ(real.remote_write, 375.0);
-  EXPECT_DOUBLE_EQ(real.network, 3000.0);
-
-  ClusterBandwidths sym = simulator_bandwidths();
-  EXPECT_DOUBLE_EQ(sym.mem_read, 4812.0);  // the paper's Table III value
-  EXPECT_DOUBLE_EQ(sym.mem_write, 4812.0);
-  EXPECT_DOUBLE_EQ(sym.disk_read, 465.0);
-  EXPECT_DOUBLE_EQ(sym.remote_read, 445.0);
-}
-
-TEST(Presets, ClusterPlatformWiring) {
-  sim::Engine engine;
-  plat::Platform platform(engine);
-  ClusterPlatform cluster = make_cluster(platform, BandwidthMode::SimulatorSymmetric);
-  EXPECT_EQ(cluster.compute->cores(), kNodeCores);
-  EXPECT_DOUBLE_EQ(cluster.compute->ram(), kNodeMemory);
-  EXPECT_DOUBLE_EQ(cluster.local_disk->read_channel()->capacity(), 465.0 * MB);
-  EXPECT_DOUBLE_EQ(cluster.remote_disk->write_channel()->capacity(), 445.0 * MB);
-  EXPECT_TRUE(platform.has_route("compute0", "storage0"));
-
-  sim::Engine engine2;
-  plat::Platform platform2(engine2);
-  ClusterPlatform real = make_cluster(platform2, BandwidthMode::RealAsymmetric);
-  EXPECT_DOUBLE_EQ(real.local_disk->read_channel()->capacity(), 510.0 * MB);
-  EXPECT_DOUBLE_EQ(real.local_disk->write_channel()->capacity(), 420.0 * MB);
-}
 
 TEST(Apps, SyntheticCpuInterpolation) {
   // Exact at the measured points.
@@ -93,20 +59,15 @@ TEST(Apps, NighresWorkflowMovesTableTwoBytes) {
   EXPECT_TRUE(workflow.parents_of("cortical_reconstruction").count("region_extraction"));
 }
 
-TEST(Runners, InstancePrefixAndAccessors) {
+TEST(Runners, InstancePrefix) {
   EXPECT_EQ(instance_prefix(0), "a0:");
   EXPECT_EQ(instance_prefix(17), "a17:");
-  EXPECT_EQ(to_string(SimulatorKind::WrenchCache), "WRENCH-cache");
-  EXPECT_EQ(to_string(SimulatorKind::Reference), "Reference");
 }
 
 TEST(Runners, RunResultHelpers) {
-  RunConfig config;
-  config.kind = SimulatorKind::WrenchCache;
-  config.input_size = 3.0 * GB;
-  config.instances = 2;
-  config.probe_period = 10.0;
-  RunResult result = run_experiment(config);
+  RunResult result = run_paper_scenario(
+      "wrench_cache",
+      {{"workload.input_size", "3 GB"}, {"workload.instances", 2}, {"probe_period", 10}});
 
   EXPECT_EQ(result.tasks.size(), 6u);  // 2 instances x 3 tasks
   EXPECT_GT(result.read_time(0, 1), 0.0);
@@ -125,11 +86,9 @@ TEST(Runners, RunResultHelpers) {
 }
 
 TEST(Runners, CachelessRunHasNoProfile) {
-  RunConfig config;
-  config.kind = SimulatorKind::Wrench;
-  config.input_size = 3.0 * GB;
-  config.probe_period = 5.0;  // requested, but there is no memory to probe
-  RunResult result = run_experiment(config);
+  // The probe is requested, but there is no memory to probe.
+  RunResult result =
+      run_paper_scenario("wrench", {{"workload.input_size", "3 GB"}, {"probe_period", 5}});
   EXPECT_TRUE(result.profile.empty());
   EXPECT_THROW((void)result.snapshot_at(0.0), std::runtime_error);
 }
@@ -155,4 +114,4 @@ TEST(Report, Formatting) {
 }
 
 }  // namespace
-}  // namespace pcs::exp
+}  // namespace pcs

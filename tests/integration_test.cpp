@@ -2,26 +2,20 @@
 // suite can check cheaply (small scaled-down versions of Exp 1-3).
 #include <gtest/gtest.h>
 
-#include "workload/apps.hpp"
-#include "exp/presets.hpp"
-#include "exp/runners.hpp"
+#include "paper_scenario.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
+#include "workload/apps.hpp"
 
-namespace pcs::exp {
+namespace pcs {
 namespace {
 
 using namespace pcs::workload;
 
+using scenario::RunResult;
+using test::nfs_services;
+using test::run_paper_scenario;
 using util::GB;
-
-RunConfig base_config(SimulatorKind kind) {
-  RunConfig config;
-  config.kind = kind;
-  config.input_size = 20.0 * GB;
-  config.chunk_size = 100.0 * util::MB;
-  return config;
-}
 
 double phase_error_pct(const RunResult& sim, const RunResult& ref) {
   // Mean absolute relative error over the six synthetic phases, skipping
@@ -40,9 +34,9 @@ double phase_error_pct(const RunResult& sim, const RunResult& ref) {
 }
 
 TEST(Integration, CacheModelReducesErrorByALot) {
-  RunResult ref = run_experiment(base_config(SimulatorKind::Reference));
-  RunResult wrench = run_experiment(base_config(SimulatorKind::Wrench));
-  RunResult cache = run_experiment(base_config(SimulatorKind::WrenchCache));
+  RunResult ref = run_paper_scenario("reference");
+  RunResult wrench = run_paper_scenario("wrench");
+  RunResult cache = run_paper_scenario("wrench_cache");
 
   double wrench_err = phase_error_pct(wrench, ref);
   double cache_err = phase_error_pct(cache, ref);
@@ -54,9 +48,9 @@ TEST(Integration, CacheModelReducesErrorByALot) {
 }
 
 TEST(Integration, FirstReadIsAccurateForEveryone) {
-  RunResult ref = run_experiment(base_config(SimulatorKind::Reference));
-  RunResult wrench = run_experiment(base_config(SimulatorKind::Wrench));
-  RunResult cache = run_experiment(base_config(SimulatorKind::WrenchCache));
+  RunResult ref = run_paper_scenario("reference");
+  RunResult wrench = run_paper_scenario("wrench");
+  RunResult cache = run_paper_scenario("wrench_cache");
   // Read 1 is uncached in reality and in every model; errors come only from
   // the symmetric-bandwidth approximation (465 vs 510 MBps ~ 10%).
   double e_wrench =
@@ -70,10 +64,8 @@ TEST(Integration, WrenchCacheMatchesPrototypeOnSequentialRun) {
   // The paper: "The Python prototype and WRENCH-cache exhibited nearly
   // identical memory profiles, which reinforces the confidence in our
   // implementations."  Phase times must agree closely too.
-  RunConfig config = base_config(SimulatorKind::WrenchCache);
-  RunResult engine_run = run_experiment(config);
-  config.kind = SimulatorKind::Prototype;
-  RunResult proto_run = run_experiment(config);
+  RunResult engine_run = run_paper_scenario("wrench_cache");
+  RunResult proto_run = run_paper_scenario("prototype");
 
   for (int step = 1; step <= kSyntheticTasks; ++step) {
     EXPECT_NEAR(engine_run.read_time(0, step), proto_run.read_time(0, step),
@@ -86,7 +78,7 @@ TEST(Integration, WrenchCacheMatchesPrototypeOnSequentialRun) {
 }
 
 TEST(Integration, WarmReadsHitTheCache) {
-  RunResult cache = run_experiment(base_config(SimulatorKind::WrenchCache));
+  RunResult cache = run_paper_scenario("wrench_cache");
   // Read 2 and Read 3 consume files written by the previous task: they must
   // be served from memory, an order of magnitude faster than Read 1.
   EXPECT_LT(cache.read_time(0, 2), cache.read_time(0, 1) / 5.0);
@@ -94,14 +86,13 @@ TEST(Integration, WarmReadsHitTheCache) {
 }
 
 TEST(Integration, MemoryProfileConservesBytes) {
-  RunConfig config = base_config(SimulatorKind::WrenchCache);
-  config.probe_period = 5.0;
-  RunResult result = run_experiment(config);
+  const double chunk_size = 100.0 * util::MB;
+  RunResult result = run_paper_scenario("wrench_cache", {{"probe_period", 5}});
   ASSERT_FALSE(result.profile.empty());
   for (const cache::CacheSnapshot& s : result.profile) {
     EXPECT_NEAR(s.free + s.cached + s.anonymous, s.total, 1.0);
     EXPECT_GE(s.free, -1.0);
-    EXPECT_LE(s.dirty, 0.2 * s.total + config.chunk_size + 1.0);
+    EXPECT_LE(s.dirty, 0.2 * s.total + chunk_size + 1.0);
     EXPECT_NEAR(s.inactive + s.active, s.cached, 1.0);
   }
 }
@@ -109,24 +100,19 @@ TEST(Integration, MemoryProfileConservesBytes) {
 TEST(Integration, CacheContentsAfterRunHoldRecentFiles) {
   // 20 GB inputs: all four files fit in the 250 GB node; at the end the
   // last written file must be fully cached (Fig 4c, 20 GB panel).
-  RunConfig config = base_config(SimulatorKind::WrenchCache);
-  config.probe_period = 5.0;
-  RunResult result = run_experiment(config);
+  const double input_size = 20.0 * GB;
+  RunResult result = run_paper_scenario("wrench_cache", {{"probe_period", 5}});
   const cache::CacheSnapshot& last = result.profile.back();
   const std::string f4 = instance_prefix(0) + "file4";
   ASSERT_TRUE(last.per_file.count(f4) != 0);
-  EXPECT_NEAR(last.per_file.at(f4), config.input_size, 0.01 * config.input_size);
+  EXPECT_NEAR(last.per_file.at(f4), input_size, 0.01 * input_size);
 }
 
 TEST(Integration, ConcurrentInstancesCacheBeatsBaseline) {
-  RunConfig config = base_config(SimulatorKind::Wrench);
-  config.input_size = 3.0 * GB;
-  config.instances = 4;
-  RunResult wrench = run_experiment(config);
-  config.kind = SimulatorKind::WrenchCache;
-  RunResult cache = run_experiment(config);
-  config.kind = SimulatorKind::Reference;
-  RunResult ref = run_experiment(config);
+  const util::JsonObject four = {{"workload.input_size", "3 GB"}, {"workload.instances", 4}};
+  RunResult wrench = run_paper_scenario("wrench", four);
+  RunResult cache = run_paper_scenario("wrench_cache", four);
+  RunResult ref = run_paper_scenario("reference", four);
 
   // Reads: baseline pays disk for every byte; the cache model and the
   // reference serve re-reads from memory.  (The shared cold first read
@@ -141,13 +127,13 @@ TEST(Integration, ConcurrentInstancesCacheBeatsBaseline) {
 }
 
 TEST(Integration, NfsReadsBenefitFromCaches) {
-  RunConfig config = base_config(SimulatorKind::Wrench);
-  config.nfs = true;
-  config.input_size = 3.0 * GB;
-  config.instances = 2;
-  RunResult wrench = run_experiment(config);
-  config.kind = SimulatorKind::WrenchCache;
-  RunResult cache = run_experiment(config);
+  auto run_nfs = [](const std::string& simulator, bool cached) {
+    return run_paper_scenario(simulator, {{"services", nfs_services(cached)},
+                                          {"workload.input_size", "3 GB"},
+                                          {"workload.instances", 2}});
+  };
+  RunResult wrench = run_nfs("wrench", false);
+  RunResult cache = run_nfs("wrench_cache", true);
   EXPECT_GT(wrench.mean_instance_read_time(), 2.0 * cache.mean_instance_read_time());
   // Writes go at disk bandwidth for both (writethrough server, no client
   // write cache): they must be close.
@@ -156,13 +142,11 @@ TEST(Integration, NfsReadsBenefitFromCaches) {
 }
 
 TEST(Integration, NighresCacheModelBeatsBaseline) {
-  RunConfig config = base_config(SimulatorKind::Reference);
-  config.app = AppKind::Nighres;
-  RunResult ref = run_experiment(config);
-  config.kind = SimulatorKind::Wrench;
-  RunResult wrench = run_experiment(config);
-  config.kind = SimulatorKind::WrenchCache;
-  RunResult cache = run_experiment(config);
+  const util::JsonObject nighres = {
+      {"workload", util::Json{util::JsonObject{}}.set("type", "nighres")}};
+  RunResult ref = run_paper_scenario("reference", nighres);
+  RunResult wrench = run_paper_scenario("wrench", nighres);
+  RunResult cache = run_paper_scenario("wrench_cache", nighres);
 
   auto mean_error = [&](const RunResult& sim) {
     const auto& steps = nighres_table();
@@ -185,27 +169,25 @@ TEST(Integration, NighresCacheModelBeatsBaseline) {
 }
 
 TEST(Integration, PrototypeRejectsUnsupportedConfigs) {
-  RunConfig config = base_config(SimulatorKind::Prototype);
-  config.nfs = true;
-  EXPECT_THROW(run_experiment(config), std::runtime_error);
-  config.nfs = false;
-  config.instances = 2;
-  EXPECT_THROW(run_experiment(config), std::runtime_error);
-  config.instances = 1;
-  config.app = AppKind::Nighres;
-  EXPECT_THROW(run_experiment(config), std::runtime_error);
+  // The analytic prototype models one synthetic pipeline on the compute
+  // node's local disk, as in the paper: NFS storage, concurrent instances
+  // and the Nighres workflow are all refused.
+  EXPECT_THROW(run_paper_scenario("prototype", {{"services", nfs_services(true)}}),
+               scenario::ScenarioError);
+  EXPECT_THROW(run_paper_scenario("prototype", {{"workload.instances", 2}}),
+               scenario::ScenarioError);
+  EXPECT_THROW(run_paper_scenario("prototype", {{"workload.type", "nighres"}}),
+               scenario::ScenarioError);
 }
 
 TEST(Integration, AsymmetricBandwidthAblationImprovesReads) {
   // The paper's conclusion: asymmetric disk bandwidths in SimGrid "will
   // further improve these results".  Forcing the real asymmetric bandwidths
   // into WRENCH-cache must reduce the Read 1 error (465 vs 510 MBps).
-  RunResult ref = run_experiment(base_config(SimulatorKind::Reference));
-  RunConfig sym = base_config(SimulatorKind::WrenchCache);
-  RunResult cache_sym = run_experiment(sym);
-  RunConfig asym = sym;
-  asym.bandwidth_override = BandwidthMode::RealAsymmetric;
-  RunResult cache_asym = run_experiment(asym);
+  RunResult ref = run_paper_scenario("reference");
+  RunResult cache_sym = run_paper_scenario("wrench_cache");
+  RunResult cache_asym =
+      run_paper_scenario("wrench_cache", {{"platform_file", test::kRealPlatform}});
 
   double err_sym =
       util::absolute_relative_error_pct(cache_sym.read_time(0, 1), ref.read_time(0, 1));
@@ -216,4 +198,4 @@ TEST(Integration, AsymmetricBandwidthAblationImprovesReads) {
 }
 
 }  // namespace
-}  // namespace pcs::exp
+}  // namespace pcs

@@ -1,97 +1,60 @@
-// The scenario subsystem's contract with the paper harness: compiling a
-// RunConfig into a declarative ScenarioSpec and executing it through the
-// generic runner must reproduce the original hand-built harness
-// BIT-IDENTICALLY — same makespan, same per-task timings, same memory
-// profile, same final cache state.  Anything weaker would silently change
-// every figure of the paper.
+// The scenario runner's contract with the paper: the nine paper-cluster
+// runs of tests/golden/scenario_equivalence.sweep.json — the four
+// simulators, local and NFS storage, both workloads, the bandwidth ablation
+// — must reproduce the committed golden record BIT-IDENTICALLY: same
+// makespan, same per-task timings, same memory profile, same final cache
+// state.  Anything weaker would silently change every figure of the paper.
 //
-// The oracle is a committed golden record (tests/golden/
-// scenario_equivalence.json) generated from `run_experiment_legacy` — the
-// pre-scenario construction path — immediately before that code was
-// deleted (it had soaked a release with the live-path comparison green).
-// Matching the record bit-for-bit therefore still pins today's scenario
-// path to the original construction.  After an intentional model change,
-// regenerate with:
+// The oracle is tests/golden/scenario_equivalence.json, generated from
+// `run_experiment_legacy` — the pre-scenario construction path —
+// immediately before that code was deleted (it had soaked a release with
+// the live-path comparison green).  Matching the record bit-for-bit
+// therefore still pins today's scenario path to the original
+// construction.  Each sweep case is labelled with its record's key.  After
+// an intentional model change, regenerate with:
 //   PCS_UPDATE_GOLDEN=1 ./build/scenario_equivalence_test
 // and commit the diff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
-#include "exp/runners.hpp"
 #include "golden_format.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/sweep.hpp"
 
 #ifndef PCS_SOURCE_DIR
 #define PCS_SOURCE_DIR "."
 #endif
 
-namespace pcs::exp {
+namespace pcs::scenario {
 namespace {
 
 constexpr const char* kGoldenPath =
     PCS_SOURCE_DIR "/tests/golden/scenario_equivalence.json";
+constexpr const char* kSweepPath =
+    PCS_SOURCE_DIR "/tests/golden/scenario_equivalence.sweep.json";
 
-RunConfig base(SimulatorKind kind) {
-  RunConfig config;
-  config.kind = kind;
-  config.input_size = 3.0 * util::GB;
-  return config;
+const SweepSpec& equivalence_sweep() {
+  static const SweepSpec spec = SweepSpec::from_file(kSweepPath);
+  return spec;
 }
 
-/// The recorded configurations, keyed as in the golden file.  Every entry
-/// in the file must have a config here and vice versa (CoversEveryRecord).
-const std::map<std::string, RunConfig>& golden_configs() {
-  static const std::map<std::string, RunConfig> configs = [] {
-    std::map<std::string, RunConfig> c;
-    {
-      RunConfig config = base(SimulatorKind::WrenchCache);
-      config.instances = 2;
-      config.probe_period = 10.0;
-      c["wrench_cache_local"] = config;
+/// Every case of the sweep, run once and keyed by label.  Every label must
+/// be a key of the golden file and vice versa (CoversEveryRecord).
+const std::map<std::string, SweepCaseResult>& fresh_runs() {
+  static const std::map<std::string, SweepCaseResult> runs = [] {
+    std::map<std::string, SweepCaseResult> by_label;
+    for (SweepCaseResult& run : run_sweep(equivalence_sweep())) {
+      by_label.emplace(run.label, std::move(run));
     }
-    c["wrench_local"] = base(SimulatorKind::Wrench);
-    {
-      RunConfig config = base(SimulatorKind::Reference);
-      config.probe_period = 7.0;
-      c["reference"] = config;
-    }
-    c["prototype"] = base(SimulatorKind::Prototype);
-    {
-      RunConfig config = base(SimulatorKind::WrenchCache);
-      config.nfs = true;
-      config.instances = 2;
-      config.probe_period = 10.0;
-      c["wrench_cache_nfs"] = config;
-    }
-    {
-      RunConfig config = base(SimulatorKind::Wrench);
-      config.nfs = true;
-      c["wrench_nfs"] = config;
-    }
-    {
-      RunConfig config = base(SimulatorKind::WrenchCache);
-      config.app = AppKind::Nighres;
-      config.chunk_size = 50.0 * util::MB;
-      c["nighres"] = config;
-    }
-    {
-      RunConfig config = base(SimulatorKind::WrenchCache);
-      config.bandwidth_override = BandwidthMode::RealAsymmetric;
-      c["ablation_bandwidth"] = config;
-    }
-    {
-      RunConfig config = base(SimulatorKind::WrenchCache);
-      config.nfs = true;
-      config.nfs_warm_inputs = false;
-      c["cold_nfs_inputs"] = config;
-    }
-    return c;
+    return by_label;
   }();
-  return configs;
+  return runs;
 }
 
 const util::Json& golden_doc() {
@@ -133,41 +96,47 @@ void expect_matches_golden(const util::Json& golden, const util::Json& fresh) {
   EXPECT_EQ(golden.at("final_state"), fresh.at("final_state"));
 }
 
-void expect_config_matches(const std::string& key) {
-  const RunConfig& config = golden_configs().at(key);
-  const util::Json fresh = test::golden_of(run_experiment(config));
+void expect_case_matches(const std::string& key) {
   ASSERT_TRUE(golden_doc().at("runs").contains(key)) << key;
-  expect_matches_golden(golden_doc().at("runs").at(key), fresh);
+  const auto run = fresh_runs().find(key);
+  ASSERT_NE(run, fresh_runs().end()) << "no sweep case labelled " << key;
+  ASSERT_EQ(run->second.error, "") << key;
+  expect_matches_golden(golden_doc().at("runs").at(key), test::golden_of(run->second.result));
 }
 
-TEST(ScenarioEquivalence, WrenchCacheLocal) { expect_config_matches("wrench_cache_local"); }
-TEST(ScenarioEquivalence, WrenchLocal) { expect_config_matches("wrench_local"); }
-TEST(ScenarioEquivalence, Reference) { expect_config_matches("reference"); }
-TEST(ScenarioEquivalence, Prototype) { expect_config_matches("prototype"); }
-TEST(ScenarioEquivalence, WrenchCacheNfs) { expect_config_matches("wrench_cache_nfs"); }
-TEST(ScenarioEquivalence, WrenchNfs) { expect_config_matches("wrench_nfs"); }
-TEST(ScenarioEquivalence, NighresWorkload) { expect_config_matches("nighres"); }
+TEST(ScenarioEquivalence, WrenchCacheLocal) { expect_case_matches("wrench_cache_local"); }
+TEST(ScenarioEquivalence, WrenchLocal) { expect_case_matches("wrench_local"); }
+TEST(ScenarioEquivalence, Reference) { expect_case_matches("reference"); }
+TEST(ScenarioEquivalence, Prototype) { expect_case_matches("prototype"); }
+TEST(ScenarioEquivalence, WrenchCacheNfs) { expect_case_matches("wrench_cache_nfs"); }
+TEST(ScenarioEquivalence, WrenchNfs) { expect_case_matches("wrench_nfs"); }
+TEST(ScenarioEquivalence, NighresWorkload) { expect_case_matches("nighres"); }
 TEST(ScenarioEquivalence, AblationBandwidthOverride) {
-  expect_config_matches("ablation_bandwidth");
+  expect_case_matches("ablation_bandwidth");
 }
-TEST(ScenarioEquivalence, ColdNfsInputs) { expect_config_matches("cold_nfs_inputs"); }
+TEST(ScenarioEquivalence, ColdNfsInputs) { expect_case_matches("cold_nfs_inputs"); }
 
-// Every recorded run has a config (stale records are drift too).
+// Every recorded run has a sweep case and every case a record (stale
+// records are drift too).
 TEST(ScenarioEquivalence, CoversEveryRecord) {
   for (const auto& [key, value] : golden_doc().at("runs").as_object()) {
-    EXPECT_EQ(golden_configs().count(key), 1u) << "recorded but unknown: " << key;
+    EXPECT_EQ(fresh_runs().count(key), 1u) << "recorded but unknown: " << key;
   }
-  EXPECT_EQ(golden_doc().at("runs").size(), golden_configs().size());
+  EXPECT_EQ(golden_doc().at("runs").size(), fresh_runs().size());
 }
 
-// The generated spec must survive serialization: dump the effective JSON,
+// A case's document must survive serialization: dump the effective JSON,
 // re-parse it, and still match the golden record.  This is what guarantees
-// `pcs_cli run` over a dumped preset equals the committed binary.
+// `pcs_cli run` over a `--dump-effective` spec equals the committed record.
 TEST(ScenarioEquivalence, SurvivesJsonRoundTrip) {
-  const RunConfig& config = golden_configs().at("wrench_cache_local");
-  const scenario::ScenarioSpec spec = scenario_from_run_config(config);
+  const std::vector<SweepCase> cases = equivalence_sweep().expand();
+  const auto local = std::find_if(cases.begin(), cases.end(), [](const SweepCase& c) {
+    return c.label == "wrench_cache_local";
+  });
+  ASSERT_NE(local, cases.end());
+  const ScenarioSpec spec = ScenarioSpec::parse(local->doc, equivalence_sweep().base_dir);
   const util::Json dumped = util::Json::parse(spec.to_json().dump(2));
-  const RunResult reparsed = scenario::run_scenario(scenario::ScenarioSpec::parse(dumped));
+  const RunResult reparsed = run_scenario(ScenarioSpec::parse(dumped));
   expect_matches_golden(golden_doc().at("runs").at("wrench_cache_local"),
                         test::golden_of(reparsed));
 }
@@ -179,17 +148,18 @@ TEST(ScenarioEquivalence, UpdateGoldenWhenRequested) {
   const char* update = std::getenv("PCS_UPDATE_GOLDEN");
   if (update == nullptr || *update == '\0' || std::string(update) == "0") GTEST_SKIP();
   util::Json runs{util::JsonObject{}};
-  for (const auto& [key, config] : golden_configs()) {
-    runs.set(key, test::golden_of(run_experiment(config)));
+  for (const auto& [key, run] : fresh_runs()) {
+    ASSERT_EQ(run.error, "") << key;
+    runs.set(key, test::golden_of(run.result));
   }
   util::Json doc{util::JsonObject{}};
   // Regenerated records pin the scenario path to itself-as-of-now, unlike
   // the original record (generated from the deleted legacy harness) — say
   // so, or the file would claim a provenance it no longer has.
   doc.set("comment",
-          "Golden outputs of the scenario path (run_experiment), regenerated with "
-          "PCS_UPDATE_GOLDEN=1 after an intentional model change; the original record "
-          "was generated from the legacy hand-built harness at its deletion.");
+          "Golden outputs of the scenario path (scenario_equivalence.sweep.json), "
+          "regenerated with PCS_UPDATE_GOLDEN=1 after an intentional model change; the "
+          "original record was generated from the legacy hand-built harness at its deletion.");
   doc.set("runs", std::move(runs));
   std::ofstream out(kGoldenPath);
   ASSERT_TRUE(out) << "cannot write " << kGoldenPath;
@@ -197,4 +167,4 @@ TEST(ScenarioEquivalence, UpdateGoldenWhenRequested) {
 }
 
 }  // namespace
-}  // namespace pcs::exp
+}  // namespace pcs::scenario

@@ -126,6 +126,28 @@ TEST(ScenarioRunner, RunsMinimalLocalScenario) {
   EXPECT_GT(result.final_state.cached, 0.0);
 }
 
+// The analytic prototype models the compute host's local disk itself: a
+// document that also declares storage services (here Exp 3's NFS mount)
+// would silently run on the local-disk model, so it is refused.
+TEST(ScenarioRunner, PrototypeRejectsDeclaredServices) {
+  util::Json doc = scenario_doc(cluster_platform());
+  doc.set("simulator", "prototype");
+  doc.set("workload", util::Json{util::JsonObject{}}
+                          .set("type", "synthetic")
+                          .set("input_size", "3 GB"));
+  EXPECT_GT(run_scenario(ScenarioSpec::parse(doc)).makespan, 0.0);
+
+  util::Json nfs{util::JsonObject{}};
+  nfs.set("name", "store")
+      .set("type", "nfs")
+      .set("server_host", "storage0")
+      .set("server_disk", "nfs-ssd");
+  util::Json services{util::JsonArray{}};
+  services.push_back(std::move(nfs));
+  doc.set("services", std::move(services));
+  EXPECT_THROW(run_scenario(ScenarioSpec::parse(doc)), ScenarioError);
+}
+
 TEST(ScenarioRunner, UnknownBackendAndServiceFail) {
   util::Json doc = scenario_doc(node_platform());
   util::Json services{util::JsonArray{}};

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/runner.hpp"
 #include "scenario/sweep.hpp"
 #include "util/json.hpp"
 
@@ -237,6 +238,22 @@ TEST(SweepFiles, Fig8ScalingExpands) {
   for (const SweepCase& c : cases) {
     EXPECT_NO_THROW(ScenarioSpec::parse(c.doc, spec.base_dir)) << c.label;
   }
+}
+
+// The cgroup study as a committed sweep: the makespan rises strictly as the
+// memory limit falls, and the 45 GB point is scenarios/cgroup_memory.json
+// itself, bit for bit.
+TEST(SweepFiles, CgroupMemoryStarvesTheCacheAsTheLimitFalls) {
+  const std::vector<SweepCaseResult> results =
+      run_sweep(SweepSpec::from_file(PCS_SOURCE_DIR "/scenarios/sweeps/cgroup_memory.json"));
+  ASSERT_EQ(results.size(), 7u);
+  for (const SweepCaseResult& r : results) ASSERT_EQ(r.error, "") << r.label;
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_GT(results[i].result.makespan, results[i - 1].result.makespan) << results[i].label;
+  }
+  EXPECT_EQ(results[4].label, "45GB");
+  EXPECT_EQ(results[4].result.makespan,
+            run_scenario_file(PCS_SOURCE_DIR "/scenarios/cgroup_memory.json").makespan);
 }
 
 }  // namespace

@@ -94,40 +94,55 @@ std::uint32_t LruList::find_insert_pos(double access) const {
   }
 }
 
-template <std::uint32_t LruList::Node::*Prev, std::uint32_t LruList::Node::*Next>
-void LruList::chain_insert_ordered(std::uint32_t& chain_head, std::uint32_t& chain_tail,
-                                   std::uint32_t idx) {
-  // Order keys are unique, so the position is the first chain node with a
-  // larger key; same two-ended walk as find_insert_pos.
+template <std::uint32_t LruList::Node::*Prev, std::uint32_t LruList::Node::*Next,
+          typename Member>
+void LruList::chain_link(std::uint32_t& chain_head, std::uint32_t& chain_tail,
+                         std::uint32_t idx, Member member) {
+  // The chain is in list order, so the node goes right after the nearest
+  // earlier chain member.  Four walks in lockstep, and the first to hit
+  // fixes the position: the main list backward and forward from the node
+  // (membership), and the chain from its tail and head (order keys).
   const double key = slab_[idx].order_key;
+  std::uint32_t back = slab_[idx].prev;
+  std::uint32_t fwd = slab_[idx].next;
   std::uint32_t b = chain_tail;
   std::uint32_t f = chain_head;
-  std::uint32_t pos;
+  std::uint32_t before;  // chain member to link after (kNil = new head)
   while (true) {
+    if (back == kNil || member(back)) {
+      before = back;
+      break;
+    }
+    if (fwd == kNil || member(fwd)) {
+      before = fwd == kNil ? chain_tail : slab_[fwd].*Prev;
+      break;
+    }
     if (b == kNil || slab_[b].order_key < key) {
-      pos = b == kNil ? chain_head : slab_[b].*Next;
+      before = b;
       break;
     }
     if (f == kNil || slab_[f].order_key > key) {
-      pos = f;
+      before = f == kNil ? chain_tail : slab_[f].*Prev;
       break;
     }
+    back = slab_[back].prev;
+    fwd = slab_[fwd].next;
     b = slab_[b].*Prev;
     f = slab_[f].*Next;
   }
   Node& n = slab_[idx];
-  const std::uint32_t before = pos == kNil ? chain_tail : slab_[pos].*Prev;
+  const std::uint32_t after = before == kNil ? chain_head : slab_[before].*Next;
   n.*Prev = before;
-  n.*Next = pos;
+  n.*Next = after;
   if (before == kNil) {
     chain_head = idx;
   } else {
     slab_[before].*Next = idx;
   }
-  if (pos == kNil) {
+  if (after == kNil) {
     chain_tail = idx;
   } else {
-    slab_[pos].*Prev = idx;
+    slab_[after].*Prev = idx;
   }
 }
 
@@ -148,60 +163,50 @@ void LruList::chain_remove(std::uint32_t& chain_head, std::uint32_t& chain_tail,
   n.*Prev = n.*Next = kNil;
 }
 
-void LruList::account_add(const DataBlock& b) {
-  total_ += b.size;
-  FileAccount& acct = files_[b.file];
-  acct.bytes += b.size;
-  if (b.dirty) {
-    dirty_ += b.size;
-    acct.dirty_bytes += b.size;
-  }
-}
-
-void LruList::account_remove(const DataBlock& b) {
-  total_ -= b.size;
-  if (b.dirty) dirty_ -= b.size;
-  auto it = files_.find(b.file);
-  if (it != files_.end()) {
-    it->second.bytes -= b.size;
-    if (b.dirty) it->second.dirty_bytes -= b.size;
-    if (it->second.dirty_bytes < kEps) it->second.dirty_bytes = 0.0;
-    if (it->second.bytes <= kEps && it->second.dirty_count == 0) files_.erase(it);
-  }
-  if (total_ < kEps) total_ = 0.0;
-  if (dirty_ < kEps) dirty_ = 0.0;
+void LruList::category_link(std::uint32_t idx) {
+  const bool dirty = slab_[idx].dirty;
+  chain_link<&Node::cat_prev, &Node::cat_next>(
+      dirty ? dirty_head_ : clean_head_, dirty ? dirty_tail_ : clean_tail_, idx,
+      [this, dirty](std::uint32_t j) { return slab_[j].dirty == dirty; });
 }
 
 void LruList::index_add(std::uint32_t idx) {
-  Node& n = slab_[idx];
-  by_id_[n.id] = idx;
+  const Node& n = slab_[idx];
+  total_ += n.size;
+  FileAccount& acct = files_[n.file];
+  acct.bytes += n.size;
   if (n.dirty) {
-    chain_insert_ordered<&Node::cat_prev, &Node::cat_next>(dirty_head_, dirty_tail_, idx);
-    FileAccount& acct = files_[n.file];
-    chain_insert_ordered<&Node::file_prev, &Node::file_next>(acct.dirty_head, acct.dirty_tail,
-                                                             idx);
-    ++acct.dirty_count;
-  } else {
-    chain_insert_ordered<&Node::cat_prev, &Node::cat_next>(clean_head_, clean_tail_, idx);
+    dirty_ += n.size;
+    acct.dirty_bytes += n.size;
   }
+  by_id_[n.id] = idx;
+  category_link(idx);
+  chain_link<&Node::file_prev, &Node::file_next>(
+      acct.head, acct.tail, idx, [this, &n](std::uint32_t j) { return slab_[j].file == n.file; });
+  ++acct.count;
 }
 
 void LruList::index_remove(std::uint32_t idx) {
-  Node& n = slab_[idx];
+  const Node& n = slab_[idx];
+  total_ -= n.size;
+  if (n.dirty) dirty_ -= n.size;
+  if (total_ < kEps) total_ = 0.0;
+  if (dirty_ < kEps) dirty_ = 0.0;
   auto id_it = by_id_.find(n.id);
   if (id_it != by_id_.end() && id_it->second == idx) by_id_.erase(id_it);
   if (n.dirty) {
     chain_remove<&Node::cat_prev, &Node::cat_next>(dirty_head_, dirty_tail_, idx);
-    auto file_it = files_.find(n.file);
-    if (file_it != files_.end()) {
-      FileAccount& acct = file_it->second;
-      chain_remove<&Node::file_prev, &Node::file_next>(acct.dirty_head, acct.dirty_tail, idx);
-      --acct.dirty_count;
-      if (acct.bytes <= kEps && acct.dirty_count == 0) files_.erase(file_it);
-    }
   } else {
     chain_remove<&Node::cat_prev, &Node::cat_next>(clean_head_, clean_tail_, idx);
   }
+  auto file_it = files_.find(n.file);  // every listed block has an account
+  FileAccount& acct = file_it->second;
+  acct.bytes -= n.size;
+  if (n.dirty) acct.dirty_bytes -= n.size;
+  if (acct.dirty_bytes < kEps) acct.dirty_bytes = 0.0;
+  chain_remove<&Node::file_prev, &Node::file_next>(acct.head, acct.tail, idx);
+  --acct.count;
+  if (acct.count == 0 && acct.bytes <= kEps) files_.erase(file_it);
 }
 
 void LruList::assign_order_key(std::uint32_t idx) {
@@ -251,14 +256,12 @@ std::uint32_t LruList::emplace_node(std::uint32_t pos, DataBlock block) {
 }
 
 LruList::iterator LruList::insert(DataBlock block) {
-  account_add(block);
   const std::uint32_t pos = find_insert_pos(block.last_access);
   return {this, emplace_node(pos, std::move(block))};
 }
 
 DataBlock LruList::extract(iterator it) {
   const std::uint32_t idx = it.idx_;
-  account_remove(slab_[idx]);
   index_remove(idx);
   main_unlink(idx);
   DataBlock block = std::move(static_cast<DataBlock&>(slab_[idx]));
@@ -268,7 +271,6 @@ DataBlock LruList::extract(iterator it) {
 
 void LruList::erase(iterator it) {
   const std::uint32_t idx = it.idx_;
-  account_remove(slab_[idx]);
   index_remove(idx);
   main_unlink(idx);
   release_node(idx);
@@ -301,7 +303,6 @@ std::pair<LruList::iterator, LruList::iterator> LruList::split(iterator it, doub
   second.size = slab_[idx].size - first_size;
   // In-place shrink of the first part keeps accounting exact.
   resize(it, first_size);
-  account_add(second);
   const std::uint32_t second_idx = emplace_node(slab_[idx].next, std::move(second));
   return {iterator{this, idx}, iterator{this, second_idx}};
 }
@@ -317,20 +318,13 @@ void LruList::set_dirty(iterator it, bool dirty) {
     if (dirty_ < kEps) dirty_ = 0.0;
     if (acct.dirty_bytes < kEps) acct.dirty_bytes = 0.0;
     chain_remove<&Node::cat_prev, &Node::cat_next>(dirty_head_, dirty_tail_, idx);
-    chain_remove<&Node::file_prev, &Node::file_next>(acct.dirty_head, acct.dirty_tail, idx);
-    --acct.dirty_count;
-    n.dirty = false;
-    chain_insert_ordered<&Node::cat_prev, &Node::cat_next>(clean_head_, clean_tail_, idx);
   } else {
     dirty_ += n.size;
     acct.dirty_bytes += n.size;
     chain_remove<&Node::cat_prev, &Node::cat_next>(clean_head_, clean_tail_, idx);
-    n.dirty = true;
-    chain_insert_ordered<&Node::cat_prev, &Node::cat_next>(dirty_head_, dirty_tail_, idx);
-    chain_insert_ordered<&Node::file_prev, &Node::file_next>(acct.dirty_head, acct.dirty_tail,
-                                                             idx);
-    ++acct.dirty_count;
   }
+  n.dirty = dirty;
+  category_link(idx);
 }
 
 void LruList::resize(iterator it, double new_size) {
@@ -385,9 +379,9 @@ LruList::iterator LruList::lru_clean(const std::string& exclude_file) {
 }
 
 LruList::iterator LruList::lru_dirty_of(const std::string& file) {
-  auto it = files_.find(file);
-  if (it == files_.end() || it->second.dirty_head == kNil) return end();
-  return {this, it->second.dirty_head};
+  auto it = first_of(file);
+  while (it != end() && !it->dirty) it = next_of(it);
+  return it;
 }
 
 LruList::iterator LruList::find(std::uint64_t id) {
@@ -400,7 +394,7 @@ void LruList::check_invariants() const {
   double dirty = 0.0;
   std::map<std::string, double> per_file_bytes;
   std::map<std::string, double> per_file_dirty;
-  std::map<std::string, std::size_t> per_file_dirty_count;
+  std::map<std::string, std::size_t> per_file_count;
   std::size_t dirty_count = 0;
   std::size_t walked = 0;
   std::unordered_set<std::uint32_t> live;
@@ -426,10 +420,10 @@ void LruList::check_invariants() const {
     if (b.dirty) {
       dirty += b.size;
       per_file_dirty[b.file] += b.size;
-      per_file_dirty_count[b.file] += 1;
       ++dirty_count;
     }
     per_file_bytes[b.file] += b.size;
+    per_file_count[b.file] += 1;
 
     auto id_it = by_id_.find(b.id);
     if (id_it == by_id_.end() || id_it->second != i) {
@@ -441,42 +435,53 @@ void LruList::check_invariants() const {
   }
   if (by_id_.size() != count_) throw std::logic_error("LruList: id index cardinality drift");
 
-  // Category chains: every member live, correct flag, ascending keys, and
-  // cardinality matching the main-chain census (=> exact membership).
-  auto walk_chain = [&](std::uint32_t chain_head, bool want_dirty, const std::string* want_file,
-                        bool file_links) {
+  // Dirty, clean and per-file chains: every member live and on the right
+  // chain, ascending keys, consistent back links and tail, and cardinality
+  // matching the main-chain census (=> exact membership).
+  auto walk_chain = [&](std::uint32_t chain_head, std::uint32_t chain_tail,
+                        std::uint32_t Node::*prev_link, std::uint32_t Node::*next_link,
+                        auto belongs) {
     std::size_t n = 0;
     double key = -std::numeric_limits<double>::infinity();
+    std::uint32_t last = kNil;
     std::unordered_set<std::uint32_t> seen;
-    for (std::uint32_t i = chain_head; i != kNil;
-         i = file_links ? slab_[i].file_next : slab_[i].cat_next) {
+    for (std::uint32_t i = chain_head; i != kNil; i = slab_[i].*next_link) {
       if (!live.count(i)) throw std::logic_error("LruList: chain references dead slot");
       if (!seen.insert(i).second) throw std::logic_error("LruList: chain cycle");
       const Node& b = slab_[i];
-      if (b.dirty != want_dirty) throw std::logic_error("LruList: chain dirty-flag drift");
-      if (want_file != nullptr && b.file != *want_file) {
-        throw std::logic_error("LruList: per-file chain file drift");
-      }
+      if (b.*prev_link != last) throw std::logic_error("LruList: chain prev link drift");
+      if (!belongs(b)) throw std::logic_error("LruList: chain membership drift");
       if (b.order_key <= key) throw std::logic_error("LruList: chain not in list order");
       key = b.order_key;
+      last = i;
       ++n;
     }
+    if (last != chain_tail) throw std::logic_error("LruList: chain tail drift");
     return n;
   };
-  if (walk_chain(dirty_head_, true, nullptr, false) != dirty_count) {
+  auto is_dirty = [](const Node& b) { return b.dirty; };
+  auto is_clean = [](const Node& b) { return !b.dirty; };
+  if (walk_chain(dirty_head_, dirty_tail_, &Node::cat_prev, &Node::cat_next, is_dirty) !=
+      dirty_count) {
     throw std::logic_error("LruList: dirty chain cardinality drift");
   }
-  if (walk_chain(clean_head_, false, nullptr, false) != count_ - dirty_count) {
+  if (walk_chain(clean_head_, clean_tail_, &Node::cat_prev, &Node::cat_next, is_clean) !=
+      count_ - dirty_count) {
     throw std::logic_error("LruList: clean chain cardinality drift");
   }
   for (const auto& [file, acct] : files_) {
     std::size_t expect = 0;
-    auto cnt_it = per_file_dirty_count.find(file);
-    if (cnt_it != per_file_dirty_count.end()) expect = cnt_it->second;
-    if (acct.dirty_count != expect ||
-        walk_chain(acct.dirty_head, true, &file, true) != expect) {
-      throw std::logic_error("LruList: per-file dirty chain drift for " + file);
+    auto cnt_it = per_file_count.find(file);
+    if (cnt_it != per_file_count.end()) expect = cnt_it->second;
+    auto of_file = [&file](const Node& b) { return b.file == file; };
+    if (acct.count != expect ||
+        walk_chain(acct.head, acct.tail, &Node::file_prev, &Node::file_next, of_file) !=
+            expect) {
+      throw std::logic_error("LruList: per-file chain drift for " + file);
     }
+  }
+  for (const auto& [file, n] : per_file_count) {
+    if (!files_.count(file)) throw std::logic_error("LruList: no account for listed file " + file);
   }
 
   // Freelist: disjoint from the live set, and together they cover the slab.

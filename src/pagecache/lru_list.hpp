@@ -7,13 +7,15 @@
 // maintains:
 //   * an id -> node hash index, making find() O(1) (the periodic flusher
 //     revalidates candidates by id across simulated awaits);
-//   * dirty and clean chains ordered by list position, so lru_dirty()
-//     and lru_clean() are O(1) head reads — and when an exclude_file is
-//     given they skip only that file's blocks instead of scanning the list;
-//   * per-file accounting with a dirty/clean byte split and a per-file
-//     dirty chain, so file_bytes(), clean_excluding() and lru_dirty_of()
-//     no longer scan (the round-robin read model of Figure 3 and fsync ask
-//     these constantly).
+//   * dirty and clean chains in list order, so lru_dirty() and lru_clean()
+//     are O(1) head reads (with an exclude_file they skip only that file's
+//     blocks), and next_dirty() steps through the dirty blocks alone;
+//   * per file, a byte account with a dirty/clean split and a chain over
+//     all of the file's blocks in list order — the kernel's per-file page
+//     index (address_space).  file_bytes() and clean_excluding() read the
+//     account; first_of()/next_of() visit one file's blocks without
+//     touching any other, and lru_dirty_of() walks that chain to the
+//     file's first dirty block.
 //
 // Storage is a freelist-backed slab (the atomkv cacher page_pool_ idiom):
 // every node lives at a stable uint32 index in one contiguous vector, and
@@ -23,13 +25,17 @@
 // so they survive slab growth and keep the std::list-era API (bidirectional,
 // dereference to a DataBlock-compatible node, end() sentinel).
 //
-// Chain positions are ordered through a per-node `order_key`, a double that
-// strictly increases along the main list.  Keys are assigned fractionally on
-// insertion (midpoint of the neighbours); when the midpoint degenerates the
-// whole list is renumbered, which preserves the relative order of every
-// node and therefore every chain.  Ordered-chain insertion walks the chain
-// from both ends at once, so the common cases — a fresh block appending at
-// the tail, the flusher cleaning near the head — link in O(1).
+// Every chain lists its members in main-list order, so a node already in
+// the main list belongs right after the nearest earlier chain member.
+// Chain insertion walks the main list outward from the node and the chain
+// inward from both ends (comparing a per-node `order_key`, a double that
+// strictly increases along the main list) in lockstep; the first hit fixes
+// the position.  The second half of a split, a block the flusher cleans
+// (every block before the LRU dirty block is clean) and appends all link in
+// O(1).  Keys are assigned fractionally on insertion (midpoint of the
+// neighbours); when the midpoint degenerates the whole list is renumbered,
+// which preserves the relative order of every node and therefore every
+// chain.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +64,7 @@ class LruList {
     std::uint32_t next = kNil;
     std::uint32_t cat_prev = kNil;   ///< dirty- or clean-chain links
     std::uint32_t cat_next = kNil;
-    std::uint32_t file_prev = kNil;  ///< per-file dirty-chain links
+    std::uint32_t file_prev = kNil;  ///< per-file chain links (all blocks)
     std::uint32_t file_next = kNil;
   };
 
@@ -209,7 +215,20 @@ class LruList {
   /// Least recently used clean block, or end().
   [[nodiscard]] iterator lru_clean(const std::string& exclude_file = "");
   /// Least recently used dirty block belonging to `file`, or end() (fsync).
+  /// Walks the file's chain past its clean blocks.
   [[nodiscard]] iterator lru_dirty_of(const std::string& file);
+
+  /// Least recently used block of `file`, or end(); next_of() steps through
+  /// the rest of the file's blocks in list order.
+  [[nodiscard]] iterator first_of(const std::string& file) {
+    auto it = files_.find(file);
+    return {this, it == files_.end() ? kNil : it->second.head};
+  }
+  /// The block of the same file after `it` in list order, or end().
+  [[nodiscard]] iterator next_of(iterator it) { return {this, slab_[it.idx_].file_next}; }
+  /// The dirty block after the dirty block `it` in list order, or end();
+  /// starting from lru_dirty(), steps through every dirty block.
+  [[nodiscard]] iterator next_dirty(iterator it) { return {this, slab_[it.idx_].cat_next}; }
 
   /// Find by block id (used by the periodic flusher to revalidate
   /// candidates across simulated awaits); end() if gone.  O(1).
@@ -229,12 +248,14 @@ class LruList {
   void check_invariants() const;
 
  private:
+  /// Erased only once its chain is empty and its bytes are within the
+  /// accounting tolerance of zero, so every block in the list has one.
   struct FileAccount {
     double bytes = 0.0;
     double dirty_bytes = 0.0;
-    std::uint32_t dirty_head = kNil;  ///< per-file dirty chain, list order
-    std::uint32_t dirty_tail = kNil;
-    std::uint32_t dirty_count = 0;
+    std::uint32_t head = kNil;  ///< every block of the file, list order
+    std::uint32_t tail = kNil;
+    std::uint32_t count = 0;
   };
 
   std::vector<Node> slab_;
@@ -261,20 +282,25 @@ class LruList {
   /// First main-chain node strictly newer than `access` (kNil = append);
   /// walks from both ends at once so either-end insertions are O(1).
   [[nodiscard]] std::uint32_t find_insert_pos(double access) const;
-  /// Link `idx` into an order_key-sorted chain (dirty/clean/per-file) using
-  /// the Prev/Next link members; two-ended walk like find_insert_pos.
-  template <std::uint32_t Node::*Prev, std::uint32_t Node::*Next>
-  void chain_insert_ordered(std::uint32_t& chain_head, std::uint32_t& chain_tail,
-                            std::uint32_t idx);
+  /// Link `idx`, already in the main chain, into a chain kept in list
+  /// order (dirty/clean/per-file) using the Prev/Next link members.
+  /// `member(j)` tells whether main-chain node j is on that chain.
+  template <std::uint32_t Node::*Prev, std::uint32_t Node::*Next, typename Member>
+  void chain_link(std::uint32_t& chain_head, std::uint32_t& chain_tail, std::uint32_t idx,
+                  Member member);
   template <std::uint32_t Node::*Prev, std::uint32_t Node::*Next>
   void chain_remove(std::uint32_t& chain_head, std::uint32_t& chain_tail, std::uint32_t idx);
 
-  void account_add(const DataBlock& b);
-  void account_remove(const DataBlock& b);
+  /// Account a main-linked node's bytes and link it into the id index, its
+  /// dirty or clean chain and its file's chain (creating the account).
   void index_add(std::uint32_t idx);
+  /// The reverse, before main_unlink; erases the file's account once its
+  /// chain is empty (see FileAccount).
   void index_remove(std::uint32_t idx);
-  /// Place a new node before `pos`, wiring links, order key and chains
-  /// (shared by insert and split; accounting is the caller's job).
+  /// Link `idx` into the dirty or the clean chain, as its flag says.
+  void category_link(std::uint32_t idx);
+  /// Place a new node before `pos`, wiring links, order key, chains and
+  /// accounting (shared by insert and split).
   std::uint32_t emplace_node(std::uint32_t pos, DataBlock block);
   /// Assign the (already main-linked) node an order key between its
   /// neighbours; renumbers all keys when midpoints degenerate.

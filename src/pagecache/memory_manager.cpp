@@ -77,11 +77,10 @@ sim::Task<double> MemoryManager::flush_expired_blocks() {
   // awaits simulated time during which other actors may evict, split or
   // flush the same blocks.
   std::vector<std::uint64_t> candidates;
-  for (const DataBlock& b : inactive_) {
-    if (b.expired(start, params_.dirty_expire)) candidates.push_back(b.id);
-  }
-  for (const DataBlock& b : active_) {
-    if (b.expired(start, params_.dirty_expire)) candidates.push_back(b.id);
+  for (LruList* list : {&inactive_, &active_}) {
+    for (auto it = list->lru_dirty(); it != list->end(); it = list->next_dirty(it)) {
+      if (it->expired(start, params_.dirty_expire)) candidates.push_back(it->id);
+    }
   }
   for (std::uint64_t id : candidates) {
     LruList* list = &inactive_;
@@ -166,8 +165,8 @@ double MemoryManager::touch_cached(const std::string& file, double amount) {
   std::vector<Touched> touched;
   double remaining = amount;
   for (LruList* list : {&inactive_, &active_}) {
-    for (auto it = list->begin(); it != list->end() && remaining > kEps; ++it) {
-      if (it->file != file) continue;
+    for (auto it = list->first_of(file); it != list->end() && remaining > kEps;
+         it = list->next_of(it)) {
       if (it->size > remaining + kEps) {
         auto [head, tail] = list->split(it, remaining, next_block_id());
         (void)tail;
@@ -305,13 +304,10 @@ sim::Task<> MemoryManager::periodic_flush_loop() {
 
 void MemoryManager::drop_file(const std::string& file) {
   for (LruList* list : {&inactive_, &active_}) {
-    for (auto it = list->begin(); it != list->end();) {
-      if (it->file == file) {
-        auto victim = it++;
-        list->erase(victim);
-      } else {
-        ++it;
-      }
+    for (auto it = list->first_of(file); it != list->end();) {
+      auto victim = it;
+      it = list->next_of(it);
+      list->erase(victim);
     }
   }
   PCS_CHECK_INVARIANTS(check_invariants());

@@ -42,16 +42,23 @@ void AnalyticSim::background_flush() {
   bg_budget_time_ = clock_;
   if (budget <= kEps) return;
   for (cache::LruList* list : {&inactive_, &active_}) {
-    for (auto it = list->begin(); it != list->end() && budget > kEps; ++it) {
-      if (!it->dirty) continue;
-      if (clock_ - it->entry_time <= config_.cache.dirty_expire) continue;
+    auto it = list->lru_dirty();
+    while (it != list->end() && budget > kEps) {
+      if (clock_ - it->entry_time <= config_.cache.dirty_expire) {
+        it = list->next_dirty(it);
+        continue;
+      }
       if (it->size > budget + kEps) {
         auto [head, tail] = list->split(it, budget, next_id());
         (void)tail;
         it = head;
       }
       budget -= it->size;
+      // Read the link before cleaning moves the block to the clean chain;
+      // after a split it is the still-dirty remainder.
+      const auto next = list->next_dirty(it);
       list->set_dirty(it, false);
+      it = next;
     }
   }
 }
@@ -138,8 +145,8 @@ double AnalyticSim::touch_cached(const std::string& file, double amount) {
   std::vector<Touched> touched;
   double remaining = amount;
   for (cache::LruList* list : {&inactive_, &active_}) {
-    for (auto it = list->begin(); it != list->end() && remaining > kEps; ++it) {
-      if (it->file != file) continue;
+    for (auto it = list->first_of(file); it != list->end() && remaining > kEps;
+         it = list->next_of(it)) {
       if (it->size > remaining + kEps) {
         auto [head, tail] = list->split(it, remaining, next_id());
         (void)tail;

@@ -5,9 +5,12 @@
 // in-place touch when the position stays valid) and recomputes every query
 // by brute force.  Randomized operation sequences must keep the real list
 // and the reference in lockstep: identical block order (= eviction order),
-// identical totals, identical per-file accounting, and identical answers
-// from every indexed query — this guards the id index, the dirty/clean
-// index sets, the per-file dirty index and the order-key machinery.
+// identical totals, identical per-file accounting, identical answers from
+// every indexed query, and identical blocks in identical order along one
+// file's chain (first_of/next_of) and along the dirty chain
+// (lru_dirty/next_dirty) — this guards the id index, the dirty/clean
+// chains, the per-file block chains, the neighbour-linked chain insertion
+// and the order-key machinery.
 #include "pagecache/lru_list.hpp"
 
 #include <gtest/gtest.h>
@@ -243,6 +246,26 @@ TEST_P(LruProperty, MatchesNaiveReference) {
     const RefBlock* rdf = ref.lru_dirty_of(file);
     ASSERT_EQ(df == list.end(), rdf == nullptr);
     if (rdf != nullptr) ASSERT_EQ(df->id, rdf->id);
+    // One file's chain and the dirty chain visit exactly the reference's
+    // blocks of that file / dirty blocks, in list order.
+    std::vector<std::uint64_t> chain_ids;
+    std::vector<std::uint64_t> ref_ids;
+    for (auto it = list.first_of(file); it != list.end(); it = list.next_of(it)) {
+      chain_ids.push_back(it->id);
+    }
+    for (const RefBlock& b : ref.blocks()) {
+      if (b.file == file) ref_ids.push_back(b.id);
+    }
+    ASSERT_EQ(chain_ids, ref_ids) << "file chain of " << file;
+    chain_ids.clear();
+    ref_ids.clear();
+    for (auto it = list.lru_dirty(); it != list.end(); it = list.next_dirty(it)) {
+      chain_ids.push_back(it->id);
+    }
+    for (const RefBlock& b : ref.blocks()) {
+      if (b.dirty) ref_ids.push_back(b.id);
+    }
+    ASSERT_EQ(chain_ids, ref_ids) << "dirty chain";
     // find(): a live id resolves, a never-issued id does not.
     if (!ref.blocks().empty()) {
       const std::uint64_t id = random_live_id();

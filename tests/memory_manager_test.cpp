@@ -342,6 +342,79 @@ TEST_F(MemoryManagerTest, DropFileRemovesAllBlocks) {
   mm.check_invariants();
 }
 
+// Two files whose blocks interleave in both lists: a read of one file takes
+// only that file's blocks (inactive list first), splits the last one it
+// needs, and leaves the other file's blocks where they were; dropping the
+// file then removes its blocks from both lists and nothing else.
+TEST_F(MemoryManagerTest, TouchAndDropInterleavedFiles) {
+  CacheParams params;
+  params.max_active_ratio = 10.0;  // keep balancing out of the picture
+  MemoryManager mm = make_mm(params);
+  // The file of every block, in list order.
+  auto files_of = [](const LruList& list) {
+    std::string files;
+    for (const DataBlock& b : list) files += b.file;
+    return files;
+  };
+  auto ids_of = [](const LruList& list, const std::string& file) {
+    std::vector<std::uint64_t> ids;
+    for (const DataBlock& b : list) {
+      if (b.file == file) ids.push_back(b.id);
+    }
+    return ids;
+  };
+  std::vector<std::uint64_t> b_inactive;
+  std::vector<std::uint64_t> b_active;
+  double served = 0.0;
+  auto body = [&](sim::Engine& e) -> sim::Task<> {
+    mm.add_to_cache("a", 100.0);
+    mm.add_to_cache("b", 100.0);
+    co_await mm.write_to_cache("a", 100.0);
+    co_await mm.write_to_cache("b", 100.0);
+    mm.add_to_cache("a", 100.0);
+    mm.add_to_cache("b", 100.0);
+    co_await e.sleep(1.0);
+    // Promote one clean block (merged) and one dirty block of each file.
+    for (const char* file : {"a", "b", "a", "b"}) {
+      EXPECT_DOUBLE_EQ(mm.touch_cached(file, 100.0), 100.0);
+    }
+    EXPECT_EQ(files_of(mm.inactive_list()), "ab");
+    EXPECT_EQ(files_of(mm.active_list()), "abab");
+    b_inactive = ids_of(mm.inactive_list(), "b");
+    b_active = ids_of(mm.active_list(), "b");
+    co_await e.sleep(1.0);
+    // The inactive a block, the clean active a block and half of the dirty
+    // active a block.
+    served = mm.touch_cached("a", 250.0);
+  };
+  test::run_actor(engine_, body(engine_));
+  EXPECT_DOUBLE_EQ(served, 250.0);
+  EXPECT_DOUBLE_EQ(mm.cached("a"), 300.0);
+  EXPECT_DOUBLE_EQ(mm.cached("b"), 300.0);
+  // Active: b, the untouched dirty remainder of the split a block, b, the
+  // touched dirty half, and the two clean a blocks merged into one.
+  EXPECT_EQ(files_of(mm.inactive_list()), "b");
+  EXPECT_EQ(files_of(mm.active_list()), "babaa");
+  auto remainder = std::next(mm.active_list().begin());
+  EXPECT_DOUBLE_EQ(remainder->size, 50.0);
+  EXPECT_TRUE(remainder->dirty);
+  EXPECT_LT(remainder->last_access, engine_.now());
+  EXPECT_EQ(ids_of(mm.inactive_list(), "b"), b_inactive);
+  EXPECT_EQ(ids_of(mm.active_list(), "b"), b_active);
+  mm.check_invariants();
+
+  mm.drop_file("a");
+  EXPECT_DOUBLE_EQ(mm.cached("a"), 0.0);
+  EXPECT_EQ(files_of(mm.inactive_list()), "b");
+  EXPECT_EQ(files_of(mm.active_list()), "bb");
+  EXPECT_EQ(ids_of(mm.inactive_list(), "b"), b_inactive);
+  EXPECT_EQ(ids_of(mm.active_list(), "b"), b_active);
+  EXPECT_DOUBLE_EQ(mm.inactive_list().file_bytes("b"), 100.0);
+  EXPECT_DOUBLE_EQ(mm.active_list().file_bytes("b"), 200.0);
+  EXPECT_DOUBLE_EQ(mm.dirty(), 100.0);
+  mm.check_invariants();
+}
+
 TEST_F(MemoryManagerTest, SnapshotReflectsState) {
   MemoryManager mm = make_mm();
   mm.add_to_cache("f", 100.0);

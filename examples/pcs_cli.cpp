@@ -44,16 +44,15 @@
 //       (checks naming filtered-out cases are skipped; incompatible with
 //       --check/--update, which need the full report).
 //   pcs_cli replay <log.jsonl> [--platform P] [--scale S] [--load N]
-//       [--json] [--check] [--stream [--window N]]
+//       [--json] [--check] [--window N]
 //       Replay a recorded log as a "trace" workload, by default on the
 //       scenario embedded in the log's header (so no flags are needed for
 //       the closed loop).  --scale multiplies arrival times, --load clones
 //       the log N times, --platform substitutes another platform file.
 //       --check asserts the replayed makespan and per-task timings are
-//       bit-identical to the recorded events (exit 1 on any drift).
-//       --stream replays through a tracelog::TaskLogReader cursor instead
-//       of a materialized TaskLog — O(live tasks) memory, bit-identical
-//       results; --window caps the parsed-workflow cache (default 64).
+//       bit-identical to the recorded events (exit 1 on any drift).  The
+//       log streams through a tracelog::TaskLogReader cursor in O(live
+//       tasks) memory; --window caps its parsed-workflow cache (default 64).
 //   pcs_cli trace-info <log.jsonl> [--json]
 //       Validate a log and print its summary (workflows, tasks, I/O bytes,
 //       makespan) from one streaming pre-scan — event records are counted,
@@ -82,6 +81,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "metrics/experiment.hpp"
@@ -110,7 +110,7 @@ void usage(std::ostream& out) {
          "  record <scenario.json> --out run.jsonl [--seed N] [--json] [--anonymize]\n"
          "         [--trace-viz FILE]\n"
          "  replay <log.jsonl> [--platform FILE] [--scale S] [--load N] [--json] [--check]\n"
-         "         [--trace-viz FILE] [--profile] [--stream [--window N]]\n"
+         "         [--trace-viz FILE] [--profile] [--window N]\n"
          "         (no --seed: a recorded stochastic fault schedule replays from the\n"
          "          log's header, so the recorded seed always wins)\n"
          "  trace-info <log.jsonl> [--json]\n"
@@ -437,7 +437,6 @@ int cmd_replay(const std::vector<std::string>& args) {
   bool as_json = false;
   bool check = false;
   bool profile = false;
-  bool stream = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--platform") {
@@ -448,8 +447,6 @@ int cmd_replay(const std::vector<std::string>& args) {
       viz_path = args[i];
     } else if (arg == "--profile") {
       profile = true;
-    } else if (arg == "--stream") {
-      stream = true;
     } else if (arg == "--window") {
       if (++i >= args.size()) return usage_error("--window needs an argument");
       if (!parse_int(args[i], &window) || window < 1) {
@@ -483,50 +480,30 @@ int cmd_replay(const std::vector<std::string>& args) {
         "--check needs a default replay (no --scale/--load/--platform): the oracle "
         "compares against the log's own recorded run");
   }
-  if (!stream && window != static_cast<int>(tracelog::TaskLogReader::kDefaultWindow)) {
-    return usage_error("--window only applies with --stream");
-  }
-  if (stream && !viz_path.empty()) {
-    return usage_error(
-        "--trace-viz needs the materialized event stream; drop --stream for span export");
-  }
-
-  // Header fields the scenario build needs, extracted either from the
-  // materialized log or from a streaming pre-scan (which never holds the
-  // event records — the point of --stream).
+  // Header fields the scenario build needs, from a pre-scan that validates
+  // the whole log.  The reader goes out of scope before the run, which
+  // streams through the workload's own reader.
   std::string log_scenario;
   std::string log_simulator;
   util::Json source_scenario;
   util::Json fault_schedule;
   double recorded_makespan = 0.0;
   std::size_t recorded_task_events = 0;
-  tracelog::TaskLog log;
-  if (stream) {
-    // The pre-scan validates as strictly as parse+validate; the scenario
-    // runner's workload build opens its own reader for the run itself.
-    tracelog::TaskLogReader reader(log_path, static_cast<std::size_t>(window));
+  {
+    const tracelog::TaskLogReader reader(log_path);
     log_scenario = reader.scenario();
     log_simulator = reader.simulator();
     source_scenario = reader.source_scenario();
     fault_schedule = reader.fault_schedule();
     recorded_makespan = reader.recorded_makespan();
     recorded_task_events = reader.task_event_count();
-  } else {
-    log = tracelog::TaskLog::from_file(log_path);
-    log.validate();
-    log_scenario = log.scenario;
-    log_simulator = log.simulator;
-    source_scenario = log.source_scenario;
-    fault_schedule = log.fault_schedule;
-    recorded_makespan = log.recorded_makespan;
-    recorded_task_events = log.task_events.size();
   }
 
   // Post-hoc span export: the *recorded* log lowers to Chrome trace events
   // without re-running anything, so committed logs are visualizable as-is.
   if (!viz_path.empty()) {
     std::ofstream viz(viz_path);
-    const util::Json doc = obs::chrome_trace(log);
+    const util::Json doc = obs::chrome_trace(tracelog::TaskLog::from_file(log_path));
     if (viz) viz << doc.dump(2) << "\n";
     if (!viz) {
       std::cerr << "replay: cannot write '" << viz_path << "'\n";
@@ -542,8 +519,7 @@ int cmd_replay(const std::vector<std::string>& args) {
                std::filesystem::absolute(log_path).lexically_normal().string());
   if (scale != 1.0) workload.set("time_scale", scale);
   if (load != 1) workload.set("load_factor", load);
-  if (stream) {
-    workload.set("streaming", true);
+  if (window != static_cast<int>(tracelog::TaskLogReader::kDefaultWindow)) {
     workload.set("window", window);
   }
 
@@ -639,21 +615,13 @@ int cmd_replay(const std::vector<std::string>& args) {
     }
     if (replayed->end != event.end) mismatch(event.name + ".end", replayed->end, event.end);
   };
-  if (stream) {
-    // The streaming oracle re-reads the log one record at a time: recorded
-    // task_done events are compared and dropped, never accumulated, so the
-    // check keeps the O(live) memory the streaming replay just ran with.
-    std::ifstream in(log_path);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      const util::Json rec = util::Json::parse(line);
-      if (rec.string_or("rec", "") != "task_done") continue;
-      check_event(tracelog::parse_task_event_record(rec));
-    }
-  } else {
-    for (const tracelog::TraceTaskEvent& event : log.task_events) check_event(event);
-  }
+  // The recorded task_done events are compared one at a time and dropped,
+  // never accumulated, so the check keeps the O(live) memory the replay
+  // just ran with.
+  std::ifstream in(log_path);
+  tracelog::scan_task_log(in, [&](tracelog::TaskLogRecord&& record, std::uint64_t /*offset*/) {
+    if (const auto* event = std::get_if<tracelog::TraceTaskEvent>(&record)) check_event(*event);
+  });
   if (failed) {
     std::cerr << "replay check FAILED: replayed run diverges from the recorded log\n";
     return 1;

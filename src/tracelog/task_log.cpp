@@ -1,9 +1,8 @@
 #include "tracelog/task_log.hpp"
 
 #include <fstream>
-#include <map>
-#include <set>
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 
 namespace pcs::tracelog {
@@ -24,33 +23,6 @@ std::vector<wf::FileSpec> files_from_json(const util::Json& doc) {
     out.push_back({f.at("name").as_string(), f.at("size").as_number()});
   }
   return out;
-}
-
-}  // namespace
-
-TraceWorkflow parse_workflow_record(const util::Json& rec) {
-  TraceWorkflow workflow;
-  workflow.id = static_cast<std::uint64_t>(rec.at("id").as_number());
-  workflow.label = rec.string_or("label", "");
-  workflow.service = rec.string_or("service", "");
-  workflow.submit = rec.at("submit").as_number();
-  return workflow;
-}
-
-TraceTaskDecl parse_task_record(const util::Json& rec, std::uint64_t* wf_id) {
-  *wf_id = static_cast<std::uint64_t>(rec.at("wf").as_number());
-  TraceTaskDecl task;
-  task.name = rec.at("name").as_string();
-  task.flops = rec.at("flops").as_number();
-  task.chunk_size = rec.number_or("chunk_size", 0.0);
-  if (rec.contains("inputs")) task.inputs = files_from_json(rec.at("inputs"));
-  if (rec.contains("outputs")) task.outputs = files_from_json(rec.at("outputs"));
-  if (rec.contains("deps")) {
-    for (const util::Json& d : rec.at("deps").as_array()) {
-      task.deps.push_back(d.as_string());
-    }
-  }
-  return task;
 }
 
 TraceTaskEvent parse_task_event_record(const util::Json& rec) {
@@ -99,17 +71,48 @@ TraceDisruption parse_disruption_record(const util::Json& rec) {
   return disruption;
 }
 
-util::Json header_record(const TaskLog& log) {
+[[noreturn]] void fail_at(std::size_t line_no, const std::string& what) {
+  throw TraceError("task log line " + std::to_string(line_no) + ": " + what);
+}
+
+}  // namespace
+
+TraceWorkflow parse_workflow_record(const util::Json& rec) {
+  TraceWorkflow workflow;
+  workflow.id = static_cast<std::uint64_t>(rec.at("id").as_number());
+  workflow.label = rec.string_or("label", "");
+  workflow.service = rec.string_or("service", "");
+  workflow.submit = rec.at("submit").as_number();
+  return workflow;
+}
+
+TraceTaskDecl parse_task_record(const util::Json& rec, std::uint64_t* wf_id) {
+  *wf_id = static_cast<std::uint64_t>(rec.at("wf").as_number());
+  TraceTaskDecl task;
+  task.name = rec.at("name").as_string();
+  task.flops = rec.at("flops").as_number();
+  task.chunk_size = rec.number_or("chunk_size", 0.0);
+  if (rec.contains("inputs")) task.inputs = files_from_json(rec.at("inputs"));
+  if (rec.contains("outputs")) task.outputs = files_from_json(rec.at("outputs"));
+  if (rec.contains("deps")) {
+    for (const util::Json& d : rec.at("deps").as_array()) {
+      task.deps.push_back(d.as_string());
+    }
+  }
+  return task;
+}
+
+util::Json header_record(const TaskLogHeader& header) {
   util::Json doc{util::JsonObject{}};
   doc.set("rec", "header");
-  doc.set("version", log.version);
-  doc.set("scenario", log.scenario);
-  doc.set("simulator", log.simulator);
-  if (log.anonymized) doc.set("anonymized", true);
-  if (!log.source_scenario.is_null()) doc.set("source_scenario", log.source_scenario);
+  doc.set("version", header.version);
+  doc.set("scenario", header.scenario);
+  doc.set("simulator", header.simulator);
+  if (header.anonymized) doc.set("anonymized", true);
+  if (!header.source_scenario.is_null()) doc.set("source_scenario", header.source_scenario);
   // Emitted only for stochastic-fault runs: v1/v2 logs without a schedule
   // re-save byte-identically.
-  if (!log.fault_schedule.is_null()) doc.set("fault_schedule", log.fault_schedule);
+  if (!header.fault_schedule.is_null()) doc.set("fault_schedule", header.fault_schedule);
   return doc;
 }
 
@@ -198,62 +201,152 @@ util::Json summary_record(double makespan, std::size_t tasks) {
   return doc;
 }
 
-TaskLog TaskLog::parse(std::istream& in) {
-  TaskLog log;
-  log.version = 0;  // until a header is seen
-  // Workflow records may interleave with events (delayed arrivals land
-  // between earlier workflows' completions), so index by id while reading.
-  std::map<std::uint64_t, std::size_t> wf_index;
+void scan_task_log(std::istream& in, const TaskLogSink& sink) {
+  bool saw_header = false;
+  std::unordered_set<std::uint64_t> workflow_ids;
+  // Every task declared so far: names are unique, and an event may only
+  // name a task declared above it.
+  std::unordered_set<std::string> task_names;
+  // The workflow whose task block is open.  A dependency may name a later
+  // task of the same workflow, so its edges are checked when the block
+  // closes, each against the line that declared it.
+  bool block_open = false;
+  std::uint64_t block_id = 0;
+  std::string block_label;
+  std::unordered_set<std::string> block_names;
+  struct Edge {
+    std::string task;
+    std::string dep;
+    std::size_t line_no;
+  };
+  std::vector<Edge> block_edges;
+  auto close_block = [&] {
+    for (const Edge& edge : block_edges) {
+      if (block_names.count(edge.dep) == 0) {
+        fail_at(edge.line_no, "task '" + edge.task + "': dependency '" + edge.dep +
+                                  "' is not a task of workflow '" + block_label + "'");
+      }
+    }
+    block_open = false;
+    block_names.clear();
+    block_edges.clear();
+  };
+
   std::string line;
   std::size_t line_no = 0;
-  bool saw_header = false;
+  std::uint64_t next_offset = 0;
   while (std::getline(in, line)) {
+    const std::uint64_t offset = next_offset;
+    next_offset += line.size() + 1;
     ++line_no;
     // Skip blank lines (a trailing newline is normal).
-    std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     util::Json rec;
+    std::string kind;
     try {
       rec = util::Json::parse(line);
+      kind = rec.string_or("rec", "");
     } catch (const util::JsonError& e) {
-      throw TraceError("task log line " + std::to_string(line_no) + ": " + e.what());
+      fail_at(line_no, e.what());
     }
-    const std::string kind = rec.string_or("rec", "");
+    if (block_open && kind != "task") close_block();
+    TaskLogRecord record;
     try {
       if (kind == "header") {
         if (saw_header) throw TraceError("duplicate header record");
         saw_header = true;
-        log.version = static_cast<int>(rec.at("version").as_number());
-        log.scenario = rec.string_or("scenario", "");
-        log.simulator = rec.string_or("simulator", "");
-        log.anonymized = rec.bool_or("anonymized", false);
-        if (rec.contains("source_scenario")) log.source_scenario = rec.at("source_scenario");
-        if (rec.contains("fault_schedule")) log.fault_schedule = rec.at("fault_schedule");
+        TaskLogHeader header;
+        header.version = static_cast<int>(rec.at("version").as_number());
+        if (header.version < kMinTaskLogVersion || header.version > kTaskLogVersion) {
+          throw TraceError("unsupported task log version " + std::to_string(header.version) +
+                           " (this build reads versions " + std::to_string(kMinTaskLogVersion) +
+                           ".." + std::to_string(kTaskLogVersion) + ")");
+        }
+        header.scenario = rec.string_or("scenario", "");
+        header.simulator = rec.string_or("simulator", "");
+        header.anonymized = rec.bool_or("anonymized", false);
+        if (rec.contains("source_scenario")) header.source_scenario = rec.at("source_scenario");
+        if (rec.contains("fault_schedule")) header.fault_schedule = rec.at("fault_schedule");
+        record = std::move(header);
       } else if (kind == "workflow") {
         TraceWorkflow workflow = parse_workflow_record(rec);
-        if (wf_index.count(workflow.id) != 0) {
+        if (!workflow_ids.insert(workflow.id).second) {
           throw TraceError("duplicate workflow id " + std::to_string(workflow.id));
         }
-        wf_index[workflow.id] = log.workflows.size();
-        log.workflows.push_back(std::move(workflow));
+        if (workflow.submit < 0.0) {
+          throw TraceError("workflow '" + workflow.label + "': negative submit time");
+        }
+        block_open = true;
+        block_id = workflow.id;
+        block_label = workflow.label;
+        record = std::move(workflow);
       } else if (kind == "task") {
         std::uint64_t wf_id = 0;
         TraceTaskDecl task = parse_task_record(rec, &wf_id);
-        auto it = wf_index.find(wf_id);
-        if (it == wf_index.end()) {
-          throw TraceError("task references unknown workflow id " + std::to_string(wf_id));
+        if (!block_open || block_id != wf_id) {
+          if (workflow_ids.count(wf_id) == 0) {
+            throw TraceError("task references unknown workflow id " + std::to_string(wf_id));
+          }
+          throw TraceError("task record for workflow " + std::to_string(wf_id) +
+                           " is not contiguous with its workflow record: a workflow's task "
+                           "records must directly follow it");
         }
-        log.workflows[it->second].tasks.push_back(std::move(task));
+        if (!task_names.insert(task.name).second) {
+          throw TraceError("duplicate task name '" + task.name + "'");
+        }
+        if (task.flops < 0.0) throw TraceError("task '" + task.name + "': negative flops");
+        for (const wf::FileSpec& f : task.inputs) {
+          if (f.size < 0.0) throw TraceError("task '" + task.name + "': negative input size");
+        }
+        for (const wf::FileSpec& f : task.outputs) {
+          if (f.size < 0.0) throw TraceError("task '" + task.name + "': negative output size");
+        }
+        block_names.insert(task.name);
+        for (const std::string& dep : task.deps) block_edges.push_back({task.name, dep, line_no});
+        record = std::move(task);
       } else if (kind == "task_done") {
-        log.task_events.push_back(parse_task_event_record(rec));
-      } else if (kind == "task_attempt") {
-        log.task_attempts.push_back(parse_task_attempt_record(rec));
-      } else if (kind == "disruption") {
-        log.disruptions.push_back(parse_disruption_record(rec));
+        TraceTaskEvent event = parse_task_event_record(rec);
+        if (task_names.count(event.name) == 0) {
+          throw TraceError("task_done event for undeclared task '" + event.name + "'");
+        }
+        if (event.end < event.start) {
+          throw TraceError("task_done '" + event.name + "': end precedes start");
+        }
+        record = std::move(event);
       } else if (kind == "io") {
-        log.io_events.push_back(parse_io_event_record(rec));
+        TraceIoEvent event = parse_io_event_record(rec);
+        if (event.bytes < 0.0) {
+          throw TraceError("io event on '" + event.file + "': negative byte count");
+        }
+        if (event.end < event.start) {
+          throw TraceError("io event on '" + event.file + "': end precedes start");
+        }
+        if (!event.task.empty() && task_names.count(event.task) == 0) {
+          throw TraceError("io event on '" + event.file + "' names undeclared task '" +
+                           event.task + "'");
+        }
+        record = std::move(event);
+      } else if (kind == "task_attempt") {
+        TraceTaskAttempt attempt = parse_task_attempt_record(rec);
+        if (task_names.count(attempt.name) == 0) {
+          throw TraceError("task_attempt for undeclared task '" + attempt.name + "'");
+        }
+        if (attempt.attempt < 1) {
+          throw TraceError("task_attempt '" + attempt.name + "': attempt must be >= 1");
+        }
+        if (attempt.end < attempt.start) {
+          throw TraceError("task_attempt '" + attempt.name + "': end precedes start");
+        }
+        record = std::move(attempt);
+      } else if (kind == "disruption") {
+        TraceDisruption disruption = parse_disruption_record(rec);
+        if (disruption.type.empty()) throw TraceError("disruption record with empty type");
+        if (disruption.time < 0.0) {
+          throw TraceError("disruption '" + disruption.type + "': negative time");
+        }
+        record = std::move(disruption);
       } else if (kind == "summary") {
-        log.recorded_makespan = rec.at("makespan").as_number();
+        record = TraceSummary{rec.at("makespan").as_number()};
       } else {
         throw TraceError("unknown record type '" + kind + "'");
       }
@@ -261,10 +354,35 @@ TaskLog TaskLog::parse(std::istream& in) {
       throw TraceError("task log line " + std::to_string(line_no) + " (" +
                        (kind.empty() ? "no \"rec\" field" : kind) + "): " + e.what());
     } catch (const TraceError& e) {
-      throw TraceError("task log line " + std::to_string(line_no) + ": " + e.what());
+      fail_at(line_no, e.what());
     }
+    sink(std::move(record), offset);
   }
+  if (block_open) close_block();
   if (!saw_header) throw TraceError("task log has no header record");
+}
+
+TaskLog TaskLog::parse(std::istream& in) {
+  TaskLog log;
+  scan_task_log(in, [&log](TaskLogRecord&& record, std::uint64_t /*offset*/) {
+    if (auto* header = std::get_if<TaskLogHeader>(&record)) {
+      static_cast<TaskLogHeader&>(log) = std::move(*header);
+    } else if (auto* workflow = std::get_if<TraceWorkflow>(&record)) {
+      log.workflows.push_back(std::move(*workflow));
+    } else if (auto* task = std::get_if<TraceTaskDecl>(&record)) {
+      log.workflows.back().tasks.push_back(std::move(*task));  // its block's workflow
+    } else if (auto* event = std::get_if<TraceTaskEvent>(&record)) {
+      log.task_events.push_back(std::move(*event));
+    } else if (auto* io = std::get_if<TraceIoEvent>(&record)) {
+      log.io_events.push_back(std::move(*io));
+    } else if (auto* attempt = std::get_if<TraceTaskAttempt>(&record)) {
+      log.task_attempts.push_back(std::move(*attempt));
+    } else if (auto* disruption = std::get_if<TraceDisruption>(&record)) {
+      log.disruptions.push_back(std::move(*disruption));
+    } else {
+      log.recorded_makespan = std::get<TraceSummary>(record).makespan;
+    }
+  });
   return log;
 }
 
@@ -280,79 +398,6 @@ TaskLog TaskLog::from_file(const std::string& path) {
     return parse(in);
   } catch (const TraceError& e) {
     throw TraceError(path + ": " + e.what());
-  }
-}
-
-void TaskLog::validate() const {
-  if (version < kMinTaskLogVersion || version > kTaskLogVersion) {
-    throw TraceError("unsupported task log version " + std::to_string(version) +
-                     " (this build reads versions " + std::to_string(kMinTaskLogVersion) +
-                     ".." + std::to_string(kTaskLogVersion) + ")");
-  }
-  std::set<std::string> task_names;
-  for (const TraceWorkflow& workflow : workflows) {
-    if (workflow.submit < 0.0) {
-      throw TraceError("workflow '" + workflow.label + "': negative submit time");
-    }
-    std::set<std::string> local;
-    for (const TraceTaskDecl& task : workflow.tasks) {
-      if (!task_names.insert(task.name).second) {
-        throw TraceError("duplicate task name '" + task.name + "'");
-      }
-      local.insert(task.name);
-      if (task.flops < 0.0) throw TraceError("task '" + task.name + "': negative flops");
-      for (const wf::FileSpec& f : task.inputs) {
-        if (f.size < 0.0) throw TraceError("task '" + task.name + "': negative input size");
-      }
-      for (const wf::FileSpec& f : task.outputs) {
-        if (f.size < 0.0) throw TraceError("task '" + task.name + "': negative output size");
-      }
-    }
-    for (const TraceTaskDecl& task : workflow.tasks) {
-      for (const std::string& dep : task.deps) {
-        if (local.count(dep) == 0) {
-          throw TraceError("task '" + task.name + "': dependency '" + dep +
-                           "' is not a task of workflow '" + workflow.label + "'");
-        }
-      }
-    }
-  }
-  for (const TraceTaskEvent& event : task_events) {
-    if (task_names.count(event.name) == 0) {
-      throw TraceError("task_done event for undeclared task '" + event.name + "'");
-    }
-    if (event.end < event.start) {
-      throw TraceError("task_done '" + event.name + "': end precedes start");
-    }
-  }
-  for (const TraceIoEvent& event : io_events) {
-    if (event.bytes < 0.0) {
-      throw TraceError("io event on '" + event.file + "': negative byte count");
-    }
-    if (event.end < event.start) {
-      throw TraceError("io event on '" + event.file + "': end precedes start");
-    }
-    if (!event.task.empty() && task_names.count(event.task) == 0) {
-      throw TraceError("io event on '" + event.file + "' names undeclared task '" +
-                       event.task + "'");
-    }
-  }
-  for (const TraceTaskAttempt& attempt : task_attempts) {
-    if (task_names.count(attempt.name) == 0) {
-      throw TraceError("task_attempt for undeclared task '" + attempt.name + "'");
-    }
-    if (attempt.attempt < 1) {
-      throw TraceError("task_attempt '" + attempt.name + "': attempt must be >= 1");
-    }
-    if (attempt.end < attempt.start) {
-      throw TraceError("task_attempt '" + attempt.name + "': end precedes start");
-    }
-  }
-  for (const TraceDisruption& disruption : disruptions) {
-    if (disruption.type.empty()) throw TraceError("disruption record with empty type");
-    if (disruption.time < 0.0) {
-      throw TraceError("disruption '" + disruption.type + "': negative time");
-    }
   }
 }
 

@@ -38,12 +38,23 @@
 // Numbers are serialized with %.17g, so every virtual time, size and flops
 // value round-trips bit-exactly — the property the replay determinism
 // oracle (tests/trace_replay_test.cpp, `pcs_cli replay --check`) rests on.
+//
+// Ordering contract — what TaskLogRecorder and TaskLog::save write, and
+// what scan_task_log, the one reader of these records, enforces:
+//   * exactly one header record;
+//   * a workflow's task records directly follow its workflow record (blank
+//     lines aside), so each workflow's declarations are one contiguous
+//     block that a streaming reader can re-read from one offset;
+//   * task_done, task_attempt and task-attributed io records name a task
+//     declared on an earlier line.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "util/json.hpp"
@@ -137,8 +148,8 @@ struct TraceIoEvent {
   std::string task;  ///< issuing task name ("" for stage/warm/flush/drain)
 };
 
-/// A complete parsed task log.
-struct TaskLog {
+/// The header record: what the log is a recording of.
+struct TaskLogHeader {
   int version = kTaskLogVersion;
   std::string scenario;
   std::string simulator;
@@ -155,6 +166,15 @@ struct TaskLog {
   /// re-materializing from the embedded seed, keeping `replay --check`
   /// exact even if the generator evolves.
   util::Json fault_schedule;
+};
+
+/// The summary record.
+struct TraceSummary {
+  double makespan = 0.0;
+};
+
+/// A complete parsed task log.
+struct TaskLog : TaskLogHeader {
   std::vector<TraceWorkflow> workflows;  ///< in submission order
   std::vector<TraceTaskEvent> task_events;
   std::vector<TraceIoEvent> io_events;
@@ -162,19 +182,11 @@ struct TaskLog {
   std::vector<TraceDisruption> disruptions;     ///< v2: injected disruptions
   double recorded_makespan = 0.0;  ///< from the summary record (0 if none)
 
-  /// Parse a JSONL document (text or file).  Parsing validates structurally
-  /// (known record types, tasks reference declared workflows); call
-  /// validate() for the full cross-record checks.
+  /// Parse a JSONL document (text or file) through scan_task_log, so every
+  /// rule of the format is checked; throws TraceError naming the line.
   static TaskLog parse(std::istream& in);
   static TaskLog parse_text(const std::string& text);
   static TaskLog from_file(const std::string& path);
-
-  /// Full consistency check; throws TraceError with the offending record's
-  /// context.  Checks: supported version, unique task names, dependency
-  /// edges referencing tasks of the same workflow, non-negative
-  /// sizes/flops/times, task events and task-attributed I/O events naming
-  /// declared tasks.
-  void validate() const;
 
   /// Serialize as JSONL, streamed line-by-line (never materializes the
   /// whole document).
@@ -195,19 +207,33 @@ struct TaskLog {
   [[nodiscard]] double first_submit() const;
 };
 
-// --- single-record parsing, shared by TaskLog::parse and TaskLogReader ----
+// --- reading ---------------------------------------------------------------
 
+/// One record of a task log, decoded.  A TraceWorkflow arrives without its
+/// tasks: the TraceTaskDecl records that follow it are its declarations.
+using TaskLogRecord = std::variant<TaskLogHeader, TraceWorkflow, TraceTaskDecl, TraceTaskEvent,
+                                   TraceIoEvent, TraceTaskAttempt, TraceDisruption, TraceSummary>;
+
+/// Receives each record with the byte offset of its line.
+using TaskLogSink = std::function<void(TaskLogRecord&& record, std::uint64_t offset)>;
+
+/// The one reader of task-log records.  Reads `in` line by line, checks
+/// each record against every rule of the format — the ordering contract
+/// above, supported version, unique workflow ids and task names,
+/// dependencies within the declaring workflow, non-negative sizes, flops,
+/// byte counts and times, end >= start, attempt >= 1 — and passes it to
+/// `sink` in stream order.  Throws TraceError naming the offending line.
+void scan_task_log(std::istream& in, const TaskLogSink& sink);
+
+/// Decoders for the two declaration records, for a reader that re-reads a
+/// block scan_task_log already checked (TaskLogReader's on-demand loads).
 [[nodiscard]] TraceWorkflow parse_workflow_record(const util::Json& rec);
 /// Returns the declaring workflow id through `wf_id`.
 [[nodiscard]] TraceTaskDecl parse_task_record(const util::Json& rec, std::uint64_t* wf_id);
-[[nodiscard]] TraceTaskEvent parse_task_event_record(const util::Json& rec);
-[[nodiscard]] TraceIoEvent parse_io_event_record(const util::Json& rec);
-[[nodiscard]] TraceTaskAttempt parse_task_attempt_record(const util::Json& rec);
-[[nodiscard]] TraceDisruption parse_disruption_record(const util::Json& rec);
 
 // --- single-record (de)serialization, shared with TaskLogRecorder ---------
 
-[[nodiscard]] util::Json header_record(const TaskLog& log);
+[[nodiscard]] util::Json header_record(const TaskLogHeader& header);
 [[nodiscard]] util::Json workflow_record(const TraceWorkflow& workflow);
 [[nodiscard]] util::Json task_record(std::uint64_t workflow_id, const TraceTaskDecl& task);
 [[nodiscard]] util::Json task_event_record(const TraceTaskEvent& event);

@@ -1,20 +1,19 @@
-// Streaming task-log access: replay a million-task JSONL log through a
+// Streaming task-log access: every trace replay reads its log through a
 // bounded window instead of materializing the whole TaskLog.
 //
-// TaskLog::from_file parses every record — including the task_done and io
-// event streams, which dominate a long recording — into memory before the
-// first workflow is rebuilt.  The reader splits that into two passes:
+// TaskLog::from_file holds every record — including the task_done and io
+// event streams, which dominate a long recording — in memory.  The reader
+// splits that into two passes:
 //
-//   1. A pre-scan (constructor): one forward read of the file that keeps
-//      only per-workflow metadata — label, service binding, submit time,
-//      task count, referenced file names, and the byte offset of the
-//      workflow record — plus O(1) summary accumulators (task/io event
-//      counts, read/written bytes, last task end) and the header.  Event
-//      records are validated and dropped, never stored.  The pre-scan
-//      enforces the same structural checks as TaskLog::parse + validate(),
-//      so a log that streams cleanly would also materialize cleanly.
+//   1. A pre-scan (constructor): one scan_task_log pass, which checks the
+//      log against every rule of the format and keeps only per-workflow
+//      metadata — label, service binding, submit time, task count,
+//      referenced file names, and the byte offset of the workflow record —
+//      plus O(1) summary accumulators (task/io event counts, read/written
+//      bytes, last task end) and the header.  Event records are dropped,
+//      never stored.
 //   2. On-demand workflow loads (workflow(i)): seek to the recorded offset
-//      and parse just that workflow's declaration records, holding at most
+//      and parse just that workflow's declaration block, holding at most
 //      `window` parsed workflows in an LRU cache.  Out-of-order access
 //      (load_factor clones pulling the same recorded workflow at staggered
 //      virtual times) re-parses after eviction instead of growing the
@@ -23,11 +22,8 @@
 // Memory is O(#workflows) metadata + O(window) parsed declarations,
 // independent of the event-record volume — the property the
 // `alloc/trace_window_bytes` gauge reports and trace_replay_test asserts.
-//
-// Streaming requires each workflow's task records to follow its workflow
-// record before the next workflow begins (what TaskLogRecorder writes).
-// Interleaved declarations — legal for TaskLog::parse — are rejected with a
-// pointer at materialized replay.
+// The load relies on the format's ordering contract (task_log.hpp): a
+// workflow's task records directly follow its workflow record.
 #pragma once
 
 #include <cstdint>
@@ -60,18 +56,18 @@ class TaskLogReader {
  public:
   static constexpr std::size_t kDefaultWindow = 64;
 
-  /// Pre-scans `path` (throws TraceError on malformed or non-contiguous
-  /// logs, prefixed with the path like TaskLog::from_file).  `window` is
-  /// the maximum number of parsed workflows cached at once (>= 1).
+  /// Pre-scans `path` (throws TraceError on a malformed log, prefixed with
+  /// the path like TaskLog::from_file).  `window` is the maximum number of
+  /// parsed workflows cached at once (>= 1).
   explicit TaskLogReader(std::string path, std::size_t window = kDefaultWindow);
 
   // --- header ---------------------------------------------------------------
-  [[nodiscard]] int version() const { return version_; }
-  [[nodiscard]] const std::string& scenario() const { return scenario_; }
-  [[nodiscard]] const std::string& simulator() const { return simulator_; }
-  [[nodiscard]] bool anonymized() const { return anonymized_; }
-  [[nodiscard]] const util::Json& source_scenario() const { return source_scenario_; }
-  [[nodiscard]] const util::Json& fault_schedule() const { return fault_schedule_; }
+  [[nodiscard]] int version() const { return header_.version; }
+  [[nodiscard]] const std::string& scenario() const { return header_.scenario; }
+  [[nodiscard]] const std::string& simulator() const { return header_.simulator; }
+  [[nodiscard]] bool anonymized() const { return header_.anonymized; }
+  [[nodiscard]] const util::Json& source_scenario() const { return header_.source_scenario; }
+  [[nodiscard]] const util::Json& fault_schedule() const { return header_.fault_schedule; }
 
   // --- pre-scan results -----------------------------------------------------
   [[nodiscard]] const std::vector<TraceWorkflowMeta>& workflows() const { return metas_; }
@@ -108,12 +104,7 @@ class TaskLogReader {
   std::size_t window_;
   std::ifstream in_;  ///< kept open across workflow() seeks
 
-  int version_ = 0;
-  std::string scenario_;
-  std::string simulator_;
-  bool anonymized_ = false;
-  util::Json source_scenario_;
-  util::Json fault_schedule_;
+  TaskLogHeader header_;
 
   std::vector<TraceWorkflowMeta> metas_;
   std::size_t task_count_ = 0;

@@ -158,6 +158,16 @@ TEST(Cli, NonFiniteNumbersAreUsageErrors) {
   EXPECT_EQ(run_cli(replay + "inf"), 2);
 }
 
+TEST(Cli, ReplayCheckHoldsThroughAnyWindow) {
+  // The committed log replays bit-identically through the reader's window,
+  // even thrashed down to one workflow; --window takes a positive integer.
+  const std::string replay =
+      "replay " + std::string(PCS_SOURCE_DIR) + "/scenarios/traces/nighres_run.jsonl";
+  EXPECT_EQ(run_cli(replay + " --check"), 0);
+  EXPECT_EQ(run_cli(replay + " --window 1 --check"), 0);
+  EXPECT_EQ(run_cli(replay + " --window 0"), 2);
+}
+
 TEST(Cli, LogLevelIsAGlobalFlag) {
   // --log-level is accepted in any position, validates its level name, and
   // never changes what a command computes.

@@ -2,6 +2,8 @@
 // instances with prefixes, arrivals and service bindings.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/units.hpp"
 #include "workflow/simulation.hpp"
 #include "workload/apps.hpp"
@@ -66,7 +68,7 @@ TEST(Workload, DagPrefixingKeepsSingleInstanceNamesBare) {
   ASSERT_EQ(pair.size(), 2u);
   EXPECT_NO_THROW((void)pair[1].workflow->task("a1:t2"));
   EXPECT_TRUE(pair[1].workflow->parents_of("a1:t2").count("a1:t1"));
-  EXPECT_THROW(pair[0].workflow->task("t1"), wf::WorkflowError);
+  EXPECT_THROW((void)pair[0].workflow->task("t1"), wf::WorkflowError);
 }
 
 TEST(Workload, MultiTenantComposesAndNamespaces) {
@@ -107,6 +109,40 @@ TEST(Workload, RejectsMalformedSpecs) {
   EXPECT_THROW(build_workload(sim, trace.set("load_factor", 0)), WorkloadError);
   trace = obj().set("type", "trace").set("file", "x.jsonl");
   EXPECT_THROW(build_workload(sim, trace.set("start", 10.0).set("end", 5.0)), WorkloadError);
+}
+
+TEST(Workload, CountKeysMustBeIntegersThatFit) {
+  // A cast would truncate a fraction, and is undefined for a double outside
+  // the target type's range, so each bad count is rejected by name.  The
+  // trace cases read a real log: only the count key can be at fault.
+  wf::Simulation sim;
+  const util::Json trace = obj().set("type", "trace").set(
+      "file", PCS_SOURCE_DIR "/scenarios/traces/nighres_run.jsonl");
+  const util::Json synthetic = obj().set("type", "synthetic").set("input_size", "2 GB");
+  struct Case {
+    const util::Json* base;
+    const char* key;
+    double value;
+  };
+  for (const Case& c : {Case{&trace, "window", -1.0}, Case{&trace, "window", 2.5},
+                        Case{&trace, "window", 1e30}, Case{&trace, "load_factor", 1.5},
+                        Case{&trace, "load_factor", 0.0}, Case{&trace, "load_factor", 3e9},
+                        Case{&synthetic, "instances", 2.5}, Case{&synthetic, "instances", 3e9},
+                        Case{&synthetic, "instances", -1.0}}) {
+    util::Json spec = *c.base;
+    spec.set(c.key, c.value);
+    try {
+      (void)build_workload(sim, spec);
+      ADD_FAILURE() << c.key << " = " << c.value << " was accepted";
+    } catch (const WorkloadError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("\"") + c.key + "\""), std::string::npos)
+          << e.what();
+    }
+  }
+  // Any integer >= 1 that fits is a valid count.
+  util::Json wide = trace;
+  wide.set("window", 1e18).set("load_factor", 2);
+  EXPECT_EQ(build_workload(sim, wide).size(), 2u);
 }
 
 TEST(Workload, BytesFieldAcceptsNumbersAndUnitStrings) {

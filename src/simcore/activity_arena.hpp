@@ -13,15 +13,17 @@
 //
 // Lifetime: a slot stays live while the activity is running or any external
 // ActivityRef handle points at it (`ext_refs`).  Release bumps the slot's
-// generation so recycled slots are distinguishable; completion-heap entries
-// use the per-slot monotone `version` (never reset on reuse) so stale
-// entries can never alias a successor activity.  The arena is owned by a
-// shared_ptr: handles that outlive the Engine keep the storage alive, which
-// preserves the old "detached ActivityPtr survives engine teardown"
-// semantics.
+// generation so recycled slots are distinguishable.  `heap_pos` is the
+// slot's index in the engine's completion heap, which holds each running
+// activity with a finite completion time exactly once; the engine takes a
+// slot out of the heap when it finishes or is cancelled, so a recycled slot
+// starts unqueued.  The arena is owned by a shared_ptr: handles that outlive
+// the Engine keep the storage alive, which preserves the old "detached
+// ActivityPtr survives engine teardown" semantics.
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -37,6 +39,8 @@ class Engine;
 /// Index of an activity slot in the arena.
 using ActivitySlot = std::uint32_t;
 inline constexpr ActivitySlot kNoActivity = std::numeric_limits<ActivitySlot>::max();
+/// `heap_pos` of a slot that is not in the engine's completion heap.
+inline constexpr std::size_t kNotQueued = std::numeric_limits<std::size_t>::max();
 
 class ActivityArena {
  public:
@@ -48,7 +52,7 @@ class ActivityArena {
   std::vector<double> completion_time;  ///< projected completion (kInf if none)
   std::vector<std::uint64_t> id;        ///< submission id: deterministic tie-break
   std::vector<std::uint64_t> visit_mark;  ///< component-BFS visit stamp
-  std::vector<std::uint64_t> version;   ///< monotone; invalidates stale heap entries
+  std::vector<std::size_t> heap_pos;    ///< index in the completion heap, or kNotQueued
   std::vector<std::uint32_t> run_index;  ///< position in Engine::running_
   std::vector<std::uint8_t> done;
   std::vector<std::uint8_t> scratch_assigned;  ///< progressive-filling scratch
@@ -74,8 +78,7 @@ class ActivityArena {
   Engine* engine = nullptr;
 
   /// Claim a slot (recycling the freelist head if any) and initialize it
-  /// for a fresh submission.  `version` is intentionally NOT reset on
-  /// reuse: heap entries of the previous incarnation stay stale forever.
+  /// for a fresh, not yet queued submission.
   ActivitySlot alloc(std::uint64_t act_id, std::string label, std::vector<Claim> claims,
                      double amount, double rate_bound, double start_time) {
     ActivitySlot s;
@@ -92,7 +95,7 @@ class ActivityArena {
       completion_time.push_back(0.0);
       id.push_back(0);
       visit_mark.push_back(0);
-      version.push_back(0);
+      heap_pos.push_back(kNotQueued);
       run_index.push_back(0);
       done.push_back(0);
       scratch_assigned.push_back(0);
@@ -106,6 +109,7 @@ class ActivityArena {
     completion_time[s] = std::numeric_limits<double>::infinity();
     id[s] = act_id;
     visit_mark[s] = 0;
+    heap_pos[s] = kNotQueued;
     run_index[s] = 0;
     done[s] = 0;
     scratch_assigned[s] = 0;
@@ -161,7 +165,8 @@ class ActivityArena {
   /// memory).  Claim vectors inside cold records are counted too.
   [[nodiscard]] std::size_t bytes_reserved() const {
     std::size_t bytes = remaining.capacity() * sizeof(double) * 6  // 6 double arrays
-                        + id.capacity() * sizeof(std::uint64_t) * 3
+                        + id.capacity() * sizeof(std::uint64_t) * 2
+                        + heap_pos.capacity() * sizeof(std::size_t)
                         + run_index.capacity() * sizeof(std::uint32_t)
                         + done.capacity() * 2 + cold.capacity() * sizeof(Cold);
     for (const Cold& c : cold) bytes += c.claims.capacity() * sizeof(Claim);

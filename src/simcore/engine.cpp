@@ -6,6 +6,7 @@
 
 #include "obs/profiler.hpp"
 #include "simcore/trace.hpp"
+#include "util/debug.hpp"
 #include "util/log.hpp"
 
 namespace pcs::sim {
@@ -233,29 +234,104 @@ void Engine::sync_remaining(ActivitySlot slot) {
 
 void Engine::update_completion(ActivitySlot slot) {
   ActivityArena& a = *arena_;
-  ++a.version[slot];
   a.completion_time[slot] =
       a.rate[slot] > 0.0 ? now_ + a.remaining[slot] / a.rate[slot] : kInf;
-  if (a.completion_time[slot] < kInf) {
-    completions_.push(
-        CompletionEntry{a.completion_time[slot], a.id[slot], a.version[slot], slot});
+  if (!(a.completion_time[slot] < kInf)) {
+    dequeue(slot);
+  } else if (a.heap_pos[slot] == kNotQueued) {
+    completions_.push_back(slot);
+    sift_up(completions_.size() - 1, slot);
+  } else {
+    reposition(a.heap_pos[slot], slot);
   }
 }
 
-double Engine::heap_top_time() {
+double Engine::heap_top_time() const {
+  return completions_.empty() ? kInf : arena_->completion_time[completions_.front()];
+}
+
+bool Engine::completes_before(ActivitySlot x, ActivitySlot y) const {
   const ActivityArena& a = *arena_;
-  while (!completions_.empty()) {
-    const CompletionEntry& e = completions_.top();
-    // Stale if the activity finished or was re-solved since the push.  A
-    // recycled slot can never alias: the per-slot version is monotone
-    // across reuses, so entries of a previous incarnation stay stale.
-    if (a.done[e.slot] || e.version != a.version[e.slot]) {
-      completions_.pop();
-      continue;
-    }
-    return e.time;
+  if (a.completion_time[x] != a.completion_time[y]) {
+    return a.completion_time[x] < a.completion_time[y];
   }
-  return kInf;
+  return a.id[x] < a.id[y];
+}
+
+void Engine::sift_up(std::size_t pos, ActivitySlot slot) {
+  ActivityArena& a = *arena_;
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    const ActivitySlot above = completions_[parent];
+    if (!completes_before(slot, above)) break;
+    completions_[pos] = above;
+    a.heap_pos[above] = pos;
+    pos = parent;
+  }
+  completions_[pos] = slot;
+  a.heap_pos[slot] = pos;
+}
+
+void Engine::sift_down(std::size_t pos, ActivitySlot slot) {
+  ActivityArena& a = *arena_;
+  const std::size_t size = completions_.size();
+  while (true) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && completes_before(completions_[child + 1], completions_[child])) {
+      ++child;
+    }
+    const ActivitySlot below = completions_[child];
+    if (!completes_before(below, slot)) break;
+    completions_[pos] = below;
+    a.heap_pos[below] = pos;
+    pos = child;
+  }
+  completions_[pos] = slot;
+  a.heap_pos[slot] = pos;
+}
+
+void Engine::reposition(std::size_t pos, ActivitySlot slot) {
+  if (pos > 0 && completes_before(slot, completions_[(pos - 1) / 2])) {
+    sift_up(pos, slot);
+  } else {
+    sift_down(pos, slot);
+  }
+}
+
+void Engine::dequeue(ActivitySlot slot) {
+  ActivityArena& a = *arena_;
+  const std::size_t pos = a.heap_pos[slot];
+  if (pos == kNotQueued) return;
+  a.heap_pos[slot] = kNotQueued;
+  const ActivitySlot last = completions_.back();
+  completions_.pop_back();
+  if (last != slot) reposition(pos, last);
+}
+
+void Engine::check_completion_heap() const {
+  const ActivityArena& a = *arena_;
+  auto fail = [&a](ActivitySlot slot, const std::string& what) {
+    throw SimulationError("completion heap: activity '" + a.cold[slot].label + "' " + what);
+  };
+  for (std::size_t i = 0; i < completions_.size(); ++i) {
+    const ActivitySlot slot = completions_[i];
+    if (a.heap_pos[slot] != i) {
+      fail(slot, "sits at index " + std::to_string(i) + " but records heap_pos " +
+                     std::to_string(a.heap_pos[slot]));
+    }
+    if (a.done[slot]) fail(slot, "is queued after it finished");
+    if (i > 0 && completes_before(slot, completions_[(i - 1) / 2])) {
+      fail(slot, "completes before its parent at index " + std::to_string((i - 1) / 2));
+    }
+  }
+  for (ActivitySlot slot : running_) {
+    const bool finite = a.completion_time[slot] < kInf;
+    if (finite != (a.heap_pos[slot] != kNotQueued)) {
+      fail(slot, finite ? "is running with a finite completion time but not queued"
+                        : "is queued with an infinite completion time");
+    }
+  }
 }
 
 void Engine::solve_component(std::vector<ActivitySlot>& acts) {
@@ -320,7 +396,8 @@ void Engine::recompute_rates() {
     }
 
     // Reschedule completions in discovery order: the completion heap orders
-    // entries by (time, id), so push order cannot change what pops first.
+    // entries by (time, id), a strict total order, so update order cannot
+    // change which entry comes first.
     obs::ScopedTimer merge_timer(profiler_ != nullptr ? &profiler_->merge : nullptr);
     for (std::size_t i = 0; i < component_count_; ++i) {
       for (ActivitySlot slot : components_[i]) update_completion(slot);
@@ -328,6 +405,7 @@ void Engine::recompute_rates() {
   }
 
   if (cross_check_) verify_full_solve();
+  PCS_CHECK_INVARIANTS(check_completion_heap());
 }
 
 void Engine::solve_subset(const std::vector<ActivitySlot>& acts) {
@@ -454,7 +532,7 @@ void Engine::cancel_activity(ActivitySlot slot) {
   a.done[slot] = 1;
   a.cold[slot].end_time = now_;
   a.rate[slot] = 0.0;
-  ++a.version[slot];  // drop any still-queued completion entry
+  dequeue(slot);
   deregister_claims(slot);
 
   const std::size_t idx = a.run_index[slot];
@@ -480,7 +558,7 @@ void Engine::complete_activity(ActivitySlot slot) {
   a.done[slot] = 1;
   a.cold[slot].end_time = now_;
   a.rate[slot] = 0.0;
-  ++a.version[slot];  // drop any still-queued completion entry
+  dequeue(slot);
   deregister_claims(slot);
 
   // Swap-remove from the running set.
@@ -543,20 +621,22 @@ void Engine::step(double time_limit) {
     // Activities whose completion lands at this scheduling point (within
     // relative tolerance, so simultaneous finishes stay simultaneous),
     // completed in submission order — the same order the former full scan
-    // over `running_` used.  Only the newest heap entry of a slot passes
-    // the version check, so the batch holds each activity at most once.
+    // over `running_` used.  No entry completes before its parent, so the
+    // due entries form a subtree at the root: a breadth-first walk over it
+    // collects them in place, each once, and complete_activity dequeues
+    // them.  Until then they stay queued, so a per-event solve between two
+    // completions of the batch sees every running activity in the heap.
     completed_scratch_.clear();
     {
-      ActivityArena& a = *arena_;
-      while (!completions_.empty()) {
-        const CompletionEntry& e = completions_.top();
-        if (a.done[e.slot] || e.version != a.version[e.slot]) {
-          completions_.pop();
-          continue;
+      const ActivityArena& a = *arena_;
+      const double due = t_next + tol;
+      if (heap_top_time() <= due) completed_scratch_.push_back(completions_.front());
+      for (std::size_t k = 0; k < completed_scratch_.size(); ++k) {
+        const std::size_t first_child = 2 * a.heap_pos[completed_scratch_[k]] + 1;
+        for (std::size_t c = first_child; c < first_child + 2 && c < completions_.size(); ++c) {
+          const ActivitySlot child = completions_[c];
+          if (a.completion_time[child] <= due) completed_scratch_.push_back(child);
         }
-        if (e.time > t_next + tol) break;
-        completed_scratch_.push_back(e.slot);
-        completions_.pop();
       }
       std::sort(completed_scratch_.begin(), completed_scratch_.end(),
                 [&a](ActivitySlot x, ActivitySlot y) { return a.id[x] < a.id[y]; });

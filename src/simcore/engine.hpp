@@ -15,7 +15,10 @@
 // keep their rates, their progress is tracked lazily through per-activity
 // last-update timestamps, and their completion times sit unchanged in a
 // min-heap — so an event's cost scales with the size of the component it
-// touched, not with the number of running activities.  The allocation a
+// touched, not with the number of running activities.  The heap is
+// addressable: it holds each running activity with a finite completion time
+// exactly once, the arena records every slot's index in it (`heap_pos`),
+// and a re-solved activity's entry moves in place.  The allocation a
 // component solve produces is bit-identical to a full progressive-filling
 // solve (components do not interact, and iteration orders are preserved);
 // `set_solver_cross_check(true)` — default in PCS_DEBUG_INVARIANTS builds —
@@ -224,6 +227,13 @@ class Engine {
   /// engine.  Exposed read-only for tests and the alloc/* memory gauges.
   [[nodiscard]] const ActivityArena& arena() const { return *arena_; }
 
+  /// Check the completion heap against the arena: every entry's `heap_pos`
+  /// is its index, no parent completes after its child, and a running
+  /// activity is queued exactly when its completion time is finite.
+  /// Throws SimulationError on a violation.  PCS_DEBUG_INVARIANTS builds run
+  /// it after every fair-share solve.
+  void check_completion_heap() const;
+
  private:
   friend class Resource;  // set_capacity triggers the per-event solve
 
@@ -234,17 +244,6 @@ class Engine {
     bool operator>(const Timer& other) const {
       if (time != other.time) return time > other.time;
       return seq > other.seq;
-    }
-  };
-
-  struct CompletionEntry {
-    double time;
-    std::uint64_t id;       ///< activity id: deterministic tie-break
-    std::uint64_t version;  ///< stale when != arena version[slot]
-    ActivitySlot slot;
-    bool operator>(const CompletionEntry& other) const {
-      if (time != other.time) return time > other.time;
-      return id > other.id;
     }
   };
 
@@ -272,10 +271,23 @@ class Engine {
   void solve_subset(const std::vector<ActivitySlot>& acts);
   /// Materialize remaining work at the current virtual time.
   void sync_remaining(ActivitySlot slot);
-  /// Refresh the completion time and push a fresh heap entry.
+  /// Refresh the completion time, then queue the slot, move its heap entry
+  /// in place, or dequeue it if the activity no longer progresses.
   void update_completion(ActivitySlot slot);
-  /// Earliest valid completion time, dropping stale heap entries; kInf if none.
-  double heap_top_time();
+  /// Earliest queued completion time; kInf if none.
+  [[nodiscard]] double heap_top_time() const;
+  /// The completion-heap order: by completion time, then by id (submission
+  /// order).  Ids are unique, so this is a strict total order.
+  [[nodiscard]] bool completes_before(ActivitySlot x, ActivitySlot y) const;
+  /// Store `slot` at heap index `pos` after moving it towards the root or
+  /// the leaves until the heap order holds; every entry it passes gets its
+  /// new `heap_pos`.
+  void sift_up(std::size_t pos, ActivitySlot slot);
+  void sift_down(std::size_t pos, ActivitySlot slot);
+  /// Whichever of sift_up / sift_down restores the order at `pos`.
+  void reposition(std::size_t pos, ActivitySlot slot);
+  /// Take `slot` out of the completion heap; a no-op if it is not queued.
+  void dequeue(ActivitySlot slot);
   void register_claims(ActivitySlot slot);
   void deregister_claims(ActivitySlot slot);
   /// Full-solve determinism cross-check; throws on divergence.
@@ -322,8 +334,9 @@ class Engine {
   /// Running activity slots, unordered (swap-remove via arena run_index).
   std::vector<ActivitySlot> running_;
   std::vector<Resource*> dirty_resources_;
-  std::priority_queue<CompletionEntry, std::vector<CompletionEntry>, std::greater<>>
-      completions_;
+  /// Binary min-heap of running slots in completes_before order; each slot
+  /// finds its own entry through the arena's heap_pos.
+  std::vector<ActivitySlot> completions_;
   std::deque<FrameRef> ready_;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::vector<RootActor> roots_;

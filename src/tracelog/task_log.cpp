@@ -1,6 +1,8 @@
 #include "tracelog/task_log.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -25,6 +27,22 @@ std::vector<wf::FileSpec> files_from_json(const util::Json& doc) {
   return out;
 }
 
+/// An integer field: the number must be whole, non-negative and fit T.
+/// Checked before the cast, which would truncate a fraction and is
+/// undefined for a double outside T's range.
+template <typename T>
+T integer_field(const util::Json& rec, const std::string& key) {
+  const double value = rec.at(key).as_number();
+  // 2^digits is the first integer past T's range, and exact as a double.
+  if (!(value >= 0.0 && value < std::ldexp(1.0, std::numeric_limits<T>::digits) &&
+        value == std::floor(value))) {
+    throw TraceError("\"" + key + "\" must be an integer in [0, " +
+                     std::to_string(std::numeric_limits<T>::max()) + "], got " +
+                     util::Json(value).dump());
+  }
+  return static_cast<T>(value);
+}
+
 TraceTaskEvent parse_task_event_record(const util::Json& rec) {
   TraceTaskEvent event;
   event.name = rec.at("name").as_string();
@@ -35,7 +53,7 @@ TraceTaskEvent parse_task_event_record(const util::Json& rec) {
   event.compute_end = rec.at("compute_end").as_number();
   event.write_end = rec.at("write_end").as_number();
   event.end = rec.at("end").as_number();
-  event.attempts = static_cast<int>(rec.number_or("attempts", 1.0));
+  event.attempts = rec.contains("attempts") ? integer_field<int>(rec, "attempts") : 1;
   return event;
 }
 
@@ -55,7 +73,7 @@ TraceTaskAttempt parse_task_attempt_record(const util::Json& rec) {
   TraceTaskAttempt attempt;
   attempt.name = rec.at("name").as_string();
   attempt.host = rec.string_or("host", "");
-  attempt.attempt = static_cast<int>(rec.at("attempt").as_number());
+  attempt.attempt = integer_field<int>(rec, "attempt");
   attempt.start = rec.at("start").as_number();
   attempt.end = rec.at("end").as_number();
   attempt.outcome = rec.string_or("outcome", "crashed");
@@ -79,7 +97,7 @@ TraceDisruption parse_disruption_record(const util::Json& rec) {
 
 TraceWorkflow parse_workflow_record(const util::Json& rec) {
   TraceWorkflow workflow;
-  workflow.id = static_cast<std::uint64_t>(rec.at("id").as_number());
+  workflow.id = integer_field<std::uint64_t>(rec, "id");
   workflow.label = rec.string_or("label", "");
   workflow.service = rec.string_or("service", "");
   workflow.submit = rec.at("submit").as_number();
@@ -87,7 +105,7 @@ TraceWorkflow parse_workflow_record(const util::Json& rec) {
 }
 
 TraceTaskDecl parse_task_record(const util::Json& rec, std::uint64_t* wf_id) {
-  *wf_id = static_cast<std::uint64_t>(rec.at("wf").as_number());
+  *wf_id = integer_field<std::uint64_t>(rec, "wf");
   TraceTaskDecl task;
   task.name = rec.at("name").as_string();
   task.flops = rec.at("flops").as_number();
@@ -256,7 +274,7 @@ void scan_task_log(std::istream& in, const TaskLogSink& sink) {
         if (saw_header) throw TraceError("duplicate header record");
         saw_header = true;
         TaskLogHeader header;
-        header.version = static_cast<int>(rec.at("version").as_number());
+        header.version = integer_field<int>(rec, "version");
         if (header.version < kMinTaskLogVersion || header.version > kTaskLogVersion) {
           throw TraceError("unsupported task log version " + std::to_string(header.version) +
                            " (this build reads versions " + std::to_string(kMinTaskLogVersion) +

@@ -1,8 +1,9 @@
 // The activity arena (simcore/activity_arena.hpp): slot recycling through
-// the freelist, generation counters distinguishing reincarnations, the
-// monotone per-slot version, external-handle refcounting, and the SoA
-// bookkeeping — exercised in randomized lockstep against a naive reference
-// model, the same pattern lru_property_test uses for the page-cache slab.
+// the freelist, generation counters distinguishing reincarnations, fresh
+// slots starting outside the completion heap, external-handle refcounting,
+// and the SoA bookkeeping — exercised in randomized lockstep against a
+// naive reference model, the same pattern lru_property_test uses for the
+// page-cache slab.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +26,7 @@ TEST(ActivityArena, AllocInitializesEverySoaField) {
   EXPECT_EQ(arena.bound[s], 5.0);
   EXPECT_EQ(arena.last_update[s], 3.0);
   EXPECT_EQ(arena.id[s], 7u);
+  EXPECT_EQ(arena.heap_pos[s], kNotQueued);
   EXPECT_EQ(arena.done[s], 0);
   EXPECT_EQ(arena.cold[s].label, "act");
   EXPECT_EQ(arena.cold[s].total, 42.0);
@@ -106,9 +108,6 @@ TEST(ActivityArena, RandomizedLockstepAgainstAReferenceModel) {
   std::uint64_t next_id = 0;
   std::size_t released = 0;
   std::size_t reused = 0;
-  // Per-slot version high-water mark: versions must never run backwards,
-  // even across recycling (the completion-heap staleness guarantee).
-  std::vector<std::uint64_t> version_seen;
 
   auto pick_live = [&]() -> std::uint64_t {
     std::uniform_int_distribution<std::size_t> d(0, live_ids.size() - 1);
@@ -142,9 +141,11 @@ TEST(ActivityArena, RandomizedLockstepAgainstAReferenceModel) {
       // Freelist first: the slab only grows when every slot is live.
       EXPECT_EQ(arena.slots(), expect_reuse ? before : before + 1);
       if (expect_reuse) ++reused;
-      if (ref.slot >= version_seen.size()) version_seen.resize(ref.slot + 1, 0);
-      EXPECT_GE(arena.version[ref.slot], version_seen[ref.slot]) << "version ran backwards";
-      version_seen[ref.slot] = arena.version[ref.slot];
+      // A fresh or recycled slot starts outside the completion heap, even
+      // when its previous incarnation left a heap position behind (written
+      // just below, standing in for the engine queueing it).
+      EXPECT_EQ(arena.heap_pos[ref.slot], kNotQueued);
+      arena.heap_pos[ref.slot] = static_cast<std::size_t>(act);
       model.emplace(act, ref);
       live_ids.push_back(act);
     } else if (op < 55) {  // take an external handle

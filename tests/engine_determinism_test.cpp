@@ -38,6 +38,17 @@ TEST(EngineDeterminism, RepeatedRunsAreBitIdentical) {
   EXPECT_GT(a.scheduling_points, 0u);
 }
 
+// The engine timeline pinned to recorded constants: the default 1000-actor
+// scenario must reproduce BENCH_core.json's micro_core.concurrent_1000
+// fingerprints bit for bit.  Run-twice comparisons cannot see a change that
+// moves both runs alike; this can.
+TEST(EngineDeterminism, DefaultScenarioReproducesTheRecordedTimeline) {
+  const CoreScenarioResult r = run_core_scenario(CoreScenarioConfig{});
+  EXPECT_EQ(r.checksum_ns, 13022787386022u);
+  EXPECT_EQ(r.scheduling_points, 20000u);
+  EXPECT_EQ(r.final_vtime, 1.313057076795633);  // bitwise
+}
+
 TEST(EngineDeterminism, IncrementalSolverMatchesFullSolve) {
   CoreScenarioConfig config = small_config();
   const CoreScenarioResult plain = run_core_scenario(config);

@@ -1,6 +1,9 @@
 // Engine edge cases: degenerate activities, timer ordering, re-running,
-// lock guards, tracer interplay, and error paths.
+// lock guards, tracer interplay, completion-heap membership, and error
+// paths.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "simcore/engine.hpp"
 #include "simcore/sync.hpp"
@@ -196,6 +199,116 @@ TEST(EngineEdge, ManySmallActivitiesPerformAndComplete) {
   // 10 workers x 200 sequential 1-unit ops on 1000/s: each op runs at
   // 100/s (10-way sharing) -> 0.01 s per op -> 2 s total.
   EXPECT_NEAR(engine.now(), 2.0, 1e-9);
+}
+
+// --- Completion-heap membership ---------------------------------------------
+//
+// The engine's completion heap holds each running activity with a finite
+// completion time exactly once, at the index its arena heap_pos records.
+// These cases move an activity out of the heap and back, cancel a queued
+// one, and recycle a slot within one timestamp; every expected time is
+// exact.
+
+TEST(EngineEdge, ZeroCapacityDequeuesUntilTheCapacityReturns) {
+  Engine engine;
+  Resource* r = engine.new_resource("r", 5.0);
+  ActivitySlot slot = kNoActivity;
+  double end = -1.0;
+  auto worker = [&](Engine& e) -> Task<> {
+    ActivityAwaiter io = e.submit("io", sim::one(r), 10.0);
+    slot = io.activity().slot();
+    co_await io;
+    end = e.now();
+  };
+  auto controller = [&](Engine& e) -> Task<> {
+    co_await e.sleep(1.0);
+    EXPECT_NE(e.arena().heap_pos[slot], kNotQueued);  // due at 2
+    r->set_capacity(0.0);
+    co_await e.sleep(1.0);  // the solve at t = 1 stopped it
+    EXPECT_EQ(e.arena().heap_pos[slot], kNotQueued);
+    EXPECT_EQ(e.arena().completion_time[slot], std::numeric_limits<double>::infinity());
+    e.check_completion_heap();
+    co_await e.sleep(1.0);
+    r->set_capacity(5.0);
+  };
+  engine.spawn("worker", worker(engine));
+  engine.spawn("controller", controller(engine));
+  engine.run();
+  // 5 units done over [0, 1], none over [1, 3], the other 5 over [3, 4].
+  EXPECT_EQ(end, 4.0);
+  EXPECT_EQ(engine.now(), 4.0);
+}
+
+TEST(EngineEdge, CancellingAQueuedActivityFreesItsShareAtOnce) {
+  Engine engine;
+  Tracer tracer;
+  engine.set_tracer(&tracer);
+  Resource* r = engine.new_resource("r", 10.0);
+  ActivitySlot victim_slot = kNoActivity;
+  bool victim_resumed = false;
+  double survivor_end = -1.0;
+  auto victim = [&](Engine& e) -> Task<> {
+    ActivityAwaiter io = e.submit("victim", sim::one(r), 100.0);
+    victim_slot = io.activity().slot();
+    co_await io;
+    victim_resumed = true;
+  };
+  auto survivor = [&](Engine& e) -> Task<> {
+    co_await e.submit("survivor", sim::one(r), 100.0);
+    survivor_end = e.now();
+  };
+  auto driver = [&](Engine& e) -> Task<> {
+    co_await e.sleep(4.0);
+    EXPECT_NE(e.arena().heap_pos[victim_slot], kNotQueued);  // due at 20
+    EXPECT_EQ(e.cancel_group("g"), 1u);
+    co_await e.sleep(1.0);  // the cancellation sweep ran at t = 4
+    e.check_completion_heap();  // throws if the victim is still queued
+  };
+  engine.spawn("victim", victim(engine), /*daemon=*/false, "g");
+  engine.spawn("survivor", survivor(engine));
+  engine.spawn("driver", driver(engine));
+  engine.run();
+  // Both ran at 5/s until t = 4, leaving 80 each; alone, the survivor's 80
+  // take 8 s at 10/s.
+  EXPECT_EQ(survivor_end, 12.0);
+  EXPECT_EQ(engine.now(), 12.0);
+  EXPECT_FALSE(victim_resumed);
+  EXPECT_EQ(engine.cancelled_activities(), 1u);
+  EXPECT_EQ(tracer.span_count(), 1u);  // the victim never completed
+  EXPECT_EQ(tracer.total_time("victim"), 0.0);
+}
+
+TEST(EngineEdge, SlotRecycledWithinATimestampIsQueuedOnce) {
+  Engine engine;
+  Resource* r = engine.new_resource("r", 10.0);
+  ActivitySlot first_slot = kNoActivity;
+  ActivitySlot second_slot = kNoActivity;
+  double second_end = -1.0;
+  auto worker = [&](Engine& e) -> Task<> {
+    {
+      ActivityAwaiter first = e.submit("first", sim::one(r), 10.0);
+      first_slot = first.activity().slot();
+      co_await first;  // t = 1
+    }  // the last handle drops: the slot returns to the freelist
+    ActivityAwaiter second = e.submit("second", sim::one(r), 30.0);
+    second_slot = second.activity().slot();
+    EXPECT_EQ(e.arena().heap_pos[second_slot], kNotQueued);  // not solved yet
+    co_await second;
+    second_end = e.now();
+  };
+  auto inspector = [&](Engine& e) -> Task<> {
+    co_await e.sleep(2.0);
+    EXPECT_EQ(second_slot, first_slot);  // recycled at t = 1
+    EXPECT_NE(e.arena().heap_pos[second_slot], kNotQueued);
+    EXPECT_EQ(e.arena().completion_time[second_slot], 4.0);
+    // Every entry sits where its heap_pos says, so no slot is queued twice.
+    e.check_completion_heap();
+  };
+  engine.spawn("worker", worker(engine));
+  engine.spawn("inspector", inspector(engine));
+  engine.run();
+  EXPECT_EQ(second_end, 4.0);
+  EXPECT_EQ(engine.scheduling_points(), 3u);  // t = 1, 2 and 4
 }
 
 }  // namespace

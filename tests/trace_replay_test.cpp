@@ -435,6 +435,25 @@ TEST(TraceReplay, BothReadersRejectMalformedLogsAtTheSameLine) {
       // Attempt numbers are 1-based; attempt windows cannot run backwards.
       {prologue + attempt("t", "0", "0"), 4, "attempt must be >= 1"},
       {prologue + attempt("t", "1", "5"), 4, "end precedes start"},
+      // Integer fields must be whole, non-negative and fit their type: a
+      // cast would truncate 0.2 and 0.7 into duplicate ids, read version
+      // 1.9 as 1, and is undefined for -5 or 1e30.
+      {v1 + ln(R"({"rec":"workflow","id":0.2,"label":"a","service":"","submit":0})") +
+           ln(R"({"rec":"workflow","id":0.7,"label":"b","service":"","submit":0})"),
+       2, R"("id" must be an integer)"},
+      {v1 + ln(R"({"rec":"workflow","id":-5,"label":"a","service":"","submit":0})"), 2,
+       R"("id" must be an integer)"},
+      {v1 + ln(R"({"rec":"workflow","id":1e30,"label":"a","service":"","submit":0})"), 2,
+       R"("id" must be an integer)"},
+      {ln(R"({"rec":"header","version":1.9})"), 1, R"("version" must be an integer)"},
+      {v1 + wf0 + ln(R"({"rec":"task","wf":1e30,"name":"t","flops":1})"), 3,
+       R"("wf" must be an integer)"},
+      {prologue + attempt("t", "1.5", "0"), 4, R"("attempt" must be an integer)"},
+      {prologue + attempt("t", "1e30", "0"), 4, R"("attempt" must be an integer)"},
+      {prologue +
+           ln(R"({"rec":"task_done","name":"t","host":"h","start":0,"read_start":0,)"
+              R"("read_end":1,"compute_end":2,"write_end":3,"end":3,"attempts":-1})"),
+       4, R"("attempts" must be an integer)"},
       // Disruptions need a type and a non-negative time.
       {prologue + ln(R"({"rec":"disruption","type":"","time":1})"), 4, "empty type"},
       {prologue + ln(R"({"rec":"disruption","type":"host_crash","time":-1})"), 4,
